@@ -18,7 +18,11 @@
 //!   submission to one server as the no-gateway baseline;
 //! * `tilelib` — clustered candidate pruning vs the dense rectangular
 //!   optimum at library sizes 256/512/1024, plus the published
-//!   pruned-vs-optimal cost ratio (permille) at each size.
+//!   pruned-vs-optimal cost ratio (permille) at each size;
+//! * `codec` — the line-JSON wire codec on a 1024 px pixel job (S = 1024):
+//!   request encode / `Json::parse` / `Request::from_json` and result
+//!   encode / parse / `JobResult::from_json`, each timed on the current
+//!   codec (`fast`) and on the pre-bulk-copy `wire_oracle` (`oracle`).
 //!
 //! Usage: `cargo run --release -p mosaic-bench --bin bench [-- OPTIONS]`
 //!
@@ -53,7 +57,7 @@ use mosaic_service::server::{Server, ServiceConfig};
 use mosaic_service::{run_load, Client};
 use photomosaic::anneal::anneal_search;
 use photomosaic::errors::gpu_error_matrix;
-use photomosaic::json::Json;
+use photomosaic::json::{Json, JsonError};
 use photomosaic::local_search::local_search;
 use photomosaic::optimal::optimal_rearrangement;
 use photomosaic::parallel_search::{
@@ -62,6 +66,13 @@ use photomosaic::parallel_search::{
 use photomosaic::preprocess::preprocess_gray;
 use photomosaic::{generate, Algorithm, Backend, MosaicBuilder, Preprocess};
 use std::time::{Duration, Instant};
+
+/// The pre-bulk-copy wire codec (per-character string scanner and
+/// writer, nibble-at-a-time hex), compiled from the file `photomosaic`'s
+/// differential tests use as their oracle, so the `codec` suite's oracle
+/// arms time exactly what those tests compare against.
+#[path = "../../../core/src/wire_oracle.rs"]
+mod wire_oracle;
 
 struct Options {
     suites: Vec<String>,
@@ -102,7 +113,7 @@ fn parse_options() -> Options {
 fn usage(problem: &str) -> ! {
     eprintln!("bench: {problem}");
     eprintln!("usage: bench [--suite NAME]... [--samples N] [--full] [--json]");
-    eprintln!("suites: error_matrix rearrange solvers ablations search fleet tilelib");
+    eprintln!("suites: error_matrix rearrange solvers ablations search fleet tilelib codec");
     std::process::exit(2);
 }
 
@@ -695,6 +706,222 @@ fn suite_tilelib(options: &Options, cases: &mut Vec<Case>) {
     pool.shutdown();
 }
 
+/// `ImageSource::Pixels` as the pre-change encoder built it: the tree
+/// `ImageSource::to_json` builds, hex-encoded by the oracle.
+fn oracle_pixels_json(source: &photomosaic::ImageSource) -> Json {
+    let photomosaic::ImageSource::Pixels { size, pixels } = source else {
+        panic!("the codec suite ships pixel sources");
+    };
+    Json::obj([
+        ("kind", Json::from("pixels")),
+        ("size", Json::from(*size)),
+        ("pixels", Json::Str(wire_oracle::hex_encode(pixels))),
+    ])
+}
+
+/// `Request::from_json` for a pixel `submit`, decoding hex with the
+/// oracle.
+fn oracle_decode_request(value: &Json) -> photomosaic::JobSpec {
+    let job = value.get("job").expect("submit has a job");
+    let source = |role: &str| {
+        let source = job.get(role).expect("job has both sources");
+        photomosaic::ImageSource::Pixels {
+            size: source.get("size").and_then(Json::as_u64).expect("size") as usize,
+            pixels: wire_oracle::hex_decode(
+                source.get("pixels").and_then(Json::as_str).expect("hex"),
+            )
+            .expect("valid hex"),
+        }
+    };
+    photomosaic::JobSpec {
+        input: source("input"),
+        target: source("target"),
+        config: photomosaic::MosaicConfig::from_json(job.get("config").expect("config"))
+            .expect("valid config"),
+    }
+}
+
+/// `JobResult::to_json` as it was: pixels collected into a byte vector,
+/// then hex-encoded by the oracle.
+fn oracle_result_json(result: &photomosaic::JobResult) -> Json {
+    let bytes: Vec<u8> = result.image.pixels().iter().map(|p| p.0).collect();
+    Json::obj([
+        (
+            "image",
+            Json::obj([
+                ("size", Json::from(result.image.width())),
+                ("pixels", Json::Str(wire_oracle::hex_encode(&bytes))),
+            ]),
+        ),
+        (
+            "assignment",
+            Json::Arr(result.assignment.iter().map(|&u| Json::from(u)).collect()),
+        ),
+        ("report", result.report.clone()),
+    ])
+}
+
+/// `JobResult::from_json`, decoding hex with the oracle.
+fn oracle_decode_result(value: &Json) -> photomosaic::JobResult {
+    let image = value.get("image").expect("result has an image");
+    let size = image.get("size").and_then(Json::as_u64).expect("size") as usize;
+    let hex = image.get("pixels").and_then(Json::as_str).expect("hex");
+    let data = wire_oracle::hex_decode(hex)
+        .expect("valid hex")
+        .into_iter()
+        .map(mosaic_image::Gray)
+        .collect();
+    let assignment = value
+        .get("assignment")
+        .and_then(Json::as_arr)
+        .expect("assignment")
+        .iter()
+        .map(|v| v.as_u64().expect("index") as usize)
+        .collect();
+    photomosaic::JobResult {
+        image: mosaic_image::GrayImage::from_vec(size, size, data).expect("square image"),
+        assignment,
+        report: value.get("report").cloned().expect("report"),
+    }
+}
+
+fn suite_codec(options: &Options, cases: &mut Vec<Case>) {
+    use mosaic_service::protocol::{ops, Request};
+    use photomosaic::{ImageSource, JobResult, JobSpec};
+
+    // The served_mix job shape: two 1024 px pixel images at grid 32.
+    let size = 1024;
+    let (input, target) = figure2_pair(size);
+    let bytes = |img: &mosaic_image::GrayImage| img.pixels().iter().map(|p| p.0).collect();
+    let spec = JobSpec {
+        input: ImageSource::Pixels {
+            size,
+            pixels: bytes(&input),
+        },
+        target: ImageSource::Pixels {
+            size,
+            pixels: bytes(&target),
+        },
+        config: MosaicBuilder::new().grid(32).build(),
+    };
+    let result = JobResult::from(generate(&input, &target, &spec.config).unwrap());
+    let request = Request::Submit(Box::new(spec.clone()));
+    let oracle_request = || {
+        Json::obj([
+            ("op", Json::from(ops::SUBMIT)),
+            (
+                "job",
+                Json::obj([
+                    ("input", oracle_pixels_json(&spec.input)),
+                    ("target", oracle_pixels_json(&spec.target)),
+                    ("config", spec.config.to_json()),
+                ]),
+            ),
+        ])
+    };
+
+    // Both arms of every pair must agree before either is timed: the
+    // same bytes encoded, the same tree parsed, the same job decoded.
+    let request_line = request.to_json().encode();
+    assert_eq!(request_line, wire_oracle::encode(&oracle_request()));
+    let request_tree = Json::parse(&request_line).unwrap();
+    assert_eq!(
+        Ok(&request_tree),
+        wire_oracle::parse(&request_line).as_ref()
+    );
+    assert_eq!(Request::from_json(&request_tree), Ok(request.clone()));
+    assert_eq!(oracle_decode_request(&request_tree), spec);
+    let result_line = result.to_json().encode();
+    assert_eq!(
+        result_line,
+        wire_oracle::encode(&oracle_result_json(&result))
+    );
+    let result_tree = Json::parse(&result_line).unwrap();
+    assert_eq!(Ok(&result_tree), wire_oracle::parse(&result_line).as_ref());
+    let decoded = JobResult::from_json(&result_tree).unwrap();
+    let oracle_decoded = oracle_decode_result(&result_tree);
+    assert_eq!(decoded.image, oracle_decoded.image);
+    assert_eq!(decoded.assignment, oracle_decoded.assignment);
+    assert_eq!(decoded.report, oracle_decoded.report);
+    eprintln!(
+        "codec: request {} bytes, result {} bytes",
+        request_line.len(),
+        result_line.len()
+    );
+
+    // Millisecond-scale arms: more samples than the default for a
+    // stable min.
+    let samples = options.samples.max(20);
+    let mut pair = |name: &str, oracle: &mut dyn FnMut(), fast: &mut dyn FnMut()| {
+        cases.push(run_case(
+            "codec",
+            format!("{name}/oracle"),
+            samples,
+            &mut *oracle,
+        ));
+        cases.push(run_case(
+            "codec",
+            format!("{name}/fast"),
+            samples,
+            &mut *fast,
+        ));
+    };
+    pair(
+        "request-encode",
+        &mut || {
+            std::hint::black_box(wire_oracle::encode(&oracle_request()));
+        },
+        &mut || {
+            std::hint::black_box(request.to_json().encode());
+        },
+    );
+    pair(
+        "request-parse",
+        &mut || {
+            std::hint::black_box(wire_oracle::parse(&request_line).unwrap());
+        },
+        &mut || {
+            std::hint::black_box(Json::parse(&request_line).unwrap());
+        },
+    );
+    pair(
+        "request-decode",
+        &mut || {
+            std::hint::black_box(oracle_decode_request(&request_tree));
+        },
+        &mut || {
+            std::hint::black_box(Request::from_json(&request_tree).unwrap());
+        },
+    );
+    pair(
+        "result-encode",
+        &mut || {
+            std::hint::black_box(wire_oracle::encode(&oracle_result_json(&result)));
+        },
+        &mut || {
+            std::hint::black_box(result.to_json().encode());
+        },
+    );
+    pair(
+        "result-parse",
+        &mut || {
+            std::hint::black_box(wire_oracle::parse(&result_line).unwrap());
+        },
+        &mut || {
+            std::hint::black_box(Json::parse(&result_line).unwrap());
+        },
+    );
+    pair(
+        "result-decode",
+        &mut || {
+            std::hint::black_box(oracle_decode_result(&result_tree));
+        },
+        &mut || {
+            std::hint::black_box(JobResult::from_json(&result_tree).unwrap());
+        },
+    );
+}
+
 fn main() {
     let options = parse_options();
     let all = [
@@ -705,6 +932,7 @@ fn main() {
         "search",
         "fleet",
         "tilelib",
+        "codec",
     ];
     let selected: Vec<&str> = if options.suites.is_empty() {
         all.to_vec()
@@ -730,6 +958,7 @@ fn main() {
             "search" => suite_search(&options, &mut cases),
             "fleet" => suite_fleet(&options, &mut cases),
             "tilelib" => suite_tilelib(&options, &mut cases),
+            "codec" => suite_codec(&options, &mut cases),
             _ => unreachable!(),
         }
     }

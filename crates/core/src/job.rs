@@ -12,7 +12,7 @@ use crate::config::MosaicConfig;
 use crate::json::Json;
 use crate::pipeline::MosaicResult;
 use mosaic_image::synth::Scene;
-use mosaic_image::{Gray, GrayImage};
+use mosaic_image::{Gray, GrayImage, Pixel};
 
 /// Where a job's image comes from.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -228,13 +228,13 @@ impl From<MosaicResult> for JobResult {
 impl JobResult {
     /// Serialize for the wire (pixels hex-encoded).
     pub fn to_json(&self) -> Json {
-        let bytes: Vec<u8> = self.image.pixels().iter().map(|p| p.0).collect();
+        let bytes = Gray::row_bytes(self.image.pixels());
         Json::obj([
             (
                 "image",
                 Json::obj([
                     ("size", Json::from(self.image.width())),
-                    ("pixels", Json::Str(hex_encode(&bytes))),
+                    ("pixels", Json::Str(hex_encode(bytes))),
                 ]),
             ),
             (
@@ -331,36 +331,77 @@ impl Fnv1a {
     }
 }
 
+/// Both hex digits of every byte value, lowercase.
+const HEX_PAIRS: [[u8; 2]; 256] = {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut table = [[0u8; 2]; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = [DIGITS[b >> 4], DIGITS[b & 0xF]];
+        b += 1;
+    }
+    table
+};
+
+/// The nibble each byte value denotes as a hex digit (either case), or
+/// [`NOT_HEX`].
+const HEX_NIBBLES: [u8; 256] = {
+    let mut table = [NOT_HEX; 256];
+    let mut d = 0;
+    while d < 10 {
+        table[b'0' as usize + d] = d as u8;
+        d += 1;
+    }
+    let mut d = 0;
+    while d < 6 {
+        table[b'a' as usize + d] = 10 + d as u8;
+        table[b'A' as usize + d] = 10 + d as u8;
+        d += 1;
+    }
+    table
+};
+
+/// [`HEX_NIBBLES`] entry for a byte that is not a hex digit; any value
+/// above 0xF works, and OR-ing nibbles keeps it above 0xF.
+const NOT_HEX: u8 = 0xFF;
+
 /// Encode bytes as lowercase hex.
 pub fn hex_encode(bytes: &[u8]) -> String {
-    const DIGITS: &[u8; 16] = b"0123456789abcdef";
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for &b in bytes {
-        out.push(DIGITS[usize::from(b >> 4)] as char);
-        out.push(DIGITS[usize::from(b & 0xF)] as char);
+    let mut out = vec![0u8; bytes.len() * 2];
+    for (digits, &b) in out.chunks_exact_mut(2).zip(bytes) {
+        digits.copy_from_slice(&HEX_PAIRS[usize::from(b)]);
     }
-    out
+    // lint:allow(panic) every byte was copied from HEX_PAIRS, which holds only ASCII digits
+    String::from_utf8(out).expect("hex digits are ASCII")
 }
 
 /// Decode lowercase/uppercase hex into bytes.
 ///
 /// # Errors
-/// Returns a description on odd length or non-hex characters.
+/// Returns a description on odd length or non-hex characters (naming
+/// the first one).
 pub fn hex_decode(hex: &str) -> Result<Vec<u8>, String> {
     let bytes = hex.as_bytes();
     if !bytes.len().is_multiple_of(2) {
         return Err("hex string has odd length".to_string());
     }
-    let digit = |b: u8| -> Result<u8, String> {
-        (b as char)
-            .to_digit(16)
-            .map(|d| d as u8)
-            .ok_or_else(|| format!("invalid hex byte {:?}", b as char))
-    };
-    bytes
-        .chunks_exact(2)
-        .map(|pair| Ok(digit(pair[0])? << 4 | digit(pair[1])?))
-        .collect()
+    let mut out = vec![0u8; bytes.len() / 2];
+    // Decode unconditionally and OR every nibble together: a single
+    // non-hex byte lifts the union above 0xF, and only then is the input
+    // rescanned for the first offender.
+    let mut union = 0u8;
+    for (byte, pair) in out.iter_mut().zip(bytes.chunks_exact(2)) {
+        let hi = HEX_NIBBLES[usize::from(pair[0])];
+        let lo = HEX_NIBBLES[usize::from(pair[1])];
+        union |= hi | lo;
+        *byte = hi << 4 | lo;
+    }
+    if union > 0xF {
+        if let Some(&bad) = bytes.iter().find(|&&b| HEX_NIBBLES[usize::from(b)] > 0xF) {
+            return Err(format!("invalid hex byte {:?}", bad as char));
+        }
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -395,6 +436,64 @@ mod tests {
         assert_eq!(hex_encode(&[0x0f, 0xa0]), "0fa0");
         assert!(hex_decode("abc").is_err());
         assert!(hex_decode("zz").is_err());
+        // The error strings are part of the wire contract; the first bad
+        // byte is the one named.
+        assert_eq!(
+            hex_decode("abc"),
+            Err("hex string has odd length".to_string())
+        );
+        assert_eq!(hex_decode("0g1z"), Err("invalid hex byte 'g'".to_string()));
+        assert_eq!(hex_decode("00zg"), Err("invalid hex byte 'z'".to_string()));
+        assert_eq!(hex_decode("AbCdEf"), Ok(vec![0xab, 0xcd, 0xef]));
+    }
+
+    /// Differential fuzz of the table-driven hex codec against
+    /// [`wire_oracle`]'s nibble-at-a-time one: random payloads from empty
+    /// to 2 MiB (4 MiB of hex), each re-decoded clean, in upper case,
+    /// truncated to odd length, and with a non-hex character planted at
+    /// the first, middle and last position (twice, so the first offender
+    /// must win). Both must return the same `Result`.
+    #[test]
+    fn hex_codec_matches_the_oracle() {
+        use crate::json::wire_oracle;
+        use mosaic_image::testutil::XorShift;
+
+        const BAD: &[char] = &[
+            'g', 'G', 'z', 'x', ' ', '\0', '-', '+', '/', ':', '@', '`', '\u{7f}', 'é', '€',
+        ];
+        let same = |hex: &str| {
+            let preview: String = hex.chars().take(40).collect();
+            assert_eq!(
+                hex_decode(hex),
+                wire_oracle::hex_decode(hex),
+                "decode diverged on {} bytes starting {preview:?}",
+                hex.len()
+            );
+        };
+        let mut rng = XorShift::new(0x00C0_FFEE);
+        for len in [0, 1, 2, 3, 7, 8, 9, 255, 256, 4096, 65_537, 2 << 20] {
+            let payload = rng.bytes(len);
+            let hex = hex_encode(&payload);
+            assert_eq!(hex, wire_oracle::hex_encode(&payload));
+            same(&hex);
+            same(&hex.to_uppercase());
+            if len == 0 {
+                continue;
+            }
+            same(&hex[..hex.len() - 1]);
+            for at in [0, hex.len() / 2, hex.len() - 1] {
+                let first = BAD[rng.below(BAD.len())];
+                let mut bad = hex.clone();
+                bad.replace_range(at..at + 1, first.encode_utf8(&mut [0; 4]));
+                same(&bad);
+                let second = BAD[rng.below(BAD.len())];
+                let last = bad.len() - 1;
+                if at < last && bad.is_char_boundary(last) {
+                    bad.replace_range(last.., second.encode_utf8(&mut [0; 4]));
+                    same(&bad);
+                }
+            }
+        }
     }
 
     #[test]

@@ -181,20 +181,24 @@ impl Json {
 
     /// Parse JSON text.
     ///
+    /// Numbers follow the RFC 8259 grammar (no leading zeros, at least
+    /// one digit after `.` and in an exponent) and must be finite as an
+    /// `f64`: `1e400` is an error, not infinity.
+    ///
     /// # Errors
     /// Returns [`JsonError`] with a byte offset on malformed input,
     /// including trailing garbage after the first value.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let bytes = text.as_bytes();
         let mut p = Parser {
-            bytes,
+            text,
+            bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
-        if p.pos != bytes.len() {
+        if p.pos != p.bytes.len() {
             return Err(p.err("trailing characters after JSON value"));
         }
         Ok(value)
@@ -202,32 +206,80 @@ impl Json {
 }
 
 fn write_number(n: f64, out: &mut String) {
+    use std::fmt::Write as _;
+    // Writing into a `String` cannot fail, so the `fmt::Result`s are moot.
     if !n.is_finite() {
         // JSON has no Inf/NaN; encode as null like JavaScript's JSON.stringify.
         out.push_str("null");
     } else if n.fract() == 0.0 && n.abs() < 2f64.powi(53) {
-        out.push_str(&format!("{}", n as i64));
+        let _ = write!(out, "{}", n as i64);
     } else {
-        out.push_str(&format!("{n}"));
+        let _ = write!(out, "{n}");
     }
 }
 
+/// Write `s` as a JSON string literal: runs that need no escaping are
+/// copied in bulk, and only `"`, `\` and control bytes are escaped.
 fn write_string(s: &str, out: &mut String) {
+    out.reserve(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let bytes = s.as_bytes();
+    let mut start = 0;
+    while start < bytes.len() {
+        // Every stop byte is ASCII, so both slice ends are char boundaries.
+        let stop = start + plain_run_len(&bytes[start..]);
+        out.push_str(&s[start..stop]);
+        let Some(&b) = bytes.get(stop) else { break };
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0x08 => out.push_str("\\b"),
+            0x0C => out.push_str("\\f"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX_DIGITS[usize::from(b >> 4)]));
+                out.push(char::from(HEX_DIGITS[usize::from(b & 0xF)]));
+            }
         }
+        start = stop + 1;
     }
     out.push('"');
+}
+
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Length of the leading run of `bytes` that a JSON string carries
+/// verbatim: everything up to the first `"`, `\` or control byte
+/// (< 0x20), or all of `bytes` when there is none.
+///
+/// Eight bytes are tested per step with the classic SWAR zero-byte test
+/// (`(v - 0x01…) & !v & 0x80…` is nonzero exactly when some byte of `v`
+/// is zero, or below `n` when `0x01…` is scaled by `n`); the word that
+/// trips it is then scanned byte by byte for the exact position.
+fn plain_run_len(bytes: &[u8]) -> usize {
+    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
+    const QUOTES: u64 = u64::from_ne_bytes([b'"'; 8]);
+    const BACKSLASHES: u64 = u64::from_ne_bytes([b'\\'; 8]);
+    let has_zero = |v: u64| v.wrapping_sub(ONES) & !v & HIGHS;
+    let mut at = 0;
+    for chunk in bytes.chunks_exact(8) {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(chunk);
+        let v = u64::from_ne_bytes(word);
+        let control = v.wrapping_sub(ONES * 0x20) & !v & HIGHS;
+        if control | has_zero(v ^ QUOTES) | has_zero(v ^ BACKSLASHES) != 0 {
+            break;
+        }
+        at += 8;
+    }
+    bytes[at..]
+        .iter()
+        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+        .map_or(bytes.len(), |i| at + i)
 }
 
 /// Deepest array/object nesting the parser accepts. The recursive
@@ -237,6 +289,8 @@ fn write_string(s: &str, out: &mut String) {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    /// The input; `bytes` is the same text, for byte-wise scanning.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -244,8 +298,12 @@ struct Parser<'a> {
 
 impl Parser<'_> {
     fn err(&self, message: &str) -> JsonError {
+        self.err_at(self.pos, message)
+    }
+
+    fn err_at(&self, offset: usize, message: &str) -> JsonError {
         JsonError {
-            offset: self.pos,
+            offset,
             message: message.to_string(),
         }
     }
@@ -356,10 +414,17 @@ impl Parser<'_> {
         }
     }
 
+    /// A string literal. Each run up to the next `"`, `\` or control
+    /// byte is copied with one `push_str`; the input is a `&str`, and a
+    /// run starts and ends next to ASCII bytes, so no UTF-8 decoding is
+    /// needed.
     fn string(&mut self) -> Result<String, JsonError> {
         self.expect_byte(b'"')?;
         let mut out = String::new();
         loop {
+            let start = self.pos;
+            self.pos += plain_run_len(&self.bytes[start..]);
+            out.push_str(&self.text[start..self.pos]);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -368,57 +433,55 @@ impl Parser<'_> {
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{08}'),
-                        Some(b'f') => out.push('\u{0C}'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let first = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&first) {
-                                // Surrogate pair: expect \uXXXX low half.
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let low = self.hex4()?;
-                                    if !(0xDC00..0xE000).contains(&low) {
-                                        return Err(self.err("invalid low surrogate"));
-                                    }
-                                    let code = 0x10000 + ((first - 0xD800) << 10) + (low - 0xDC00);
-                                    char::from_u32(code)
-                                } else {
-                                    return Err(self.err("unpaired surrogate"));
-                                }
-                            } else {
-                                char::from_u32(first)
-                            };
-                            match c {
-                                Some(c) => out.push(c),
-                                None => return Err(self.err("invalid unicode escape")),
-                            }
-                            continue; // hex4 already advanced past digits
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                    self.pos += 1;
+                    self.escape(&mut out)?;
                 }
-                Some(b) if b < 0x20 => return Err(self.err("control character in string")),
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so this
-                    // boundary arithmetic is safe).
-                    let rest = &self.bytes[self.pos..];
-                    let len = utf8_len(rest[0]);
-                    let chunk =
-                        std::str::from_utf8(&rest[..len]).map_err(|_| self.err("invalid UTF-8"))?;
-                    out.push_str(chunk);
-                    self.pos += len;
-                }
+                Some(_) => return Err(self.err("control character in string")),
             }
         }
+    }
+
+    /// Decode the escape after a `\` (already consumed) into `out`.
+    fn escape(&mut self, out: &mut String) -> Result<(), JsonError> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{08}',
+            Some(b'f') => '\u{0C}',
+            Some(b'u') => {
+                self.pos += 1;
+                let first = self.hex4()?;
+                let c = if (0xD800..0xDC00).contains(&first) {
+                    // Surrogate pair: expect \uXXXX low half.
+                    if !self.bytes[self.pos..].starts_with(b"\\u") {
+                        return Err(self.err("unpaired surrogate"));
+                    }
+                    self.pos += 2;
+                    let low = self.hex4()?;
+                    if !(0xDC00..0xE000).contains(&low) {
+                        return Err(self.err("invalid low surrogate"));
+                    }
+                    char::from_u32(0x10000 + ((first - 0xD800) << 10) + (low - 0xDC00))
+                } else {
+                    char::from_u32(first)
+                };
+                // hex4 already advanced past the digits.
+                return match c {
+                    Some(c) => {
+                        out.push(c);
+                        Ok(())
+                    }
+                    None => Err(self.err("invalid unicode escape")),
+                };
+            }
+            _ => return Err(self.err("invalid escape")),
+        };
+        out.push(c);
+        self.pos += 1;
+        Ok(())
     }
 
     fn hex4(&mut self) -> Result<u32, JsonError> {
@@ -432,18 +495,38 @@ impl Parser<'_> {
         Ok(v)
     }
 
+    /// Consume a run of ASCII digits; `false` when there was none.
+    fn digits(&mut self) -> bool {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos > start
+    }
+
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`, per
+    /// RFC 8259 §6, finite as an `f64`.
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
+        match self.peek() {
+            Some(b'0') => {
+                self.pos += 1;
+                if matches!(self.peek(), Some(b'0'..=b'9')) {
+                    return Err(self.err("leading zero in number"));
+                }
+            }
+            Some(b'1'..=b'9') => {
+                self.digits();
+            }
+            _ => return Err(self.err("expected digit in number")),
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+            if !self.digits() {
+                return Err(self.err("expected digit after decimal point"));
             }
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
@@ -451,26 +534,22 @@ impl Parser<'_> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+            if !self.digits() {
+                return Err(self.err("expected digit in exponent"));
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("invalid number"))
+        match self.text[start..self.pos].parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(Json::Num(n)),
+            Ok(_) => Err(self.err_at(start, "number out of range")),
+            Err(_) => Err(self.err_at(start, "invalid number")),
+        }
     }
 }
 
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
-    }
-}
+/// The pre-bulk-copy codec, kept as the differential tests' oracle.
+#[cfg(test)]
+#[path = "wire_oracle.rs"]
+pub(crate) mod wire_oracle;
 
 #[cfg(test)]
 mod tests {
@@ -554,5 +633,263 @@ mod tests {
     fn numbers_with_exponents_parse() {
         assert_eq!(Json::parse("1e3").unwrap().as_f64(), Some(1000.0));
         assert_eq!(Json::parse("-2.5E-1").unwrap().as_f64(), Some(-0.25));
+    }
+
+    fn parse_err(text: &str) -> (usize, String) {
+        let err = Json::parse(text).unwrap_err();
+        (err.offset, err.message)
+    }
+
+    #[test]
+    fn number_with_leading_zero_is_rejected() {
+        assert_eq!(parse_err("01"), (1, "leading zero in number".to_string()));
+        assert_eq!(parse_err("-01"), (2, "leading zero in number".to_string()));
+    }
+
+    #[test]
+    fn number_with_double_zero_is_rejected() {
+        assert_eq!(parse_err("00"), (1, "leading zero in number".to_string()));
+        assert_eq!(parse_err("[00]"), (2, "leading zero in number".to_string()));
+    }
+
+    #[test]
+    fn number_ending_in_decimal_point_is_rejected() {
+        let expected = (2, "expected digit after decimal point".to_string());
+        assert_eq!(parse_err("1."), expected);
+        assert_eq!(parse_err("[1.]").0, 3);
+    }
+
+    #[test]
+    fn number_with_empty_fraction_before_exponent_is_rejected() {
+        assert_eq!(
+            parse_err("1.e3"),
+            (2, "expected digit after decimal point".to_string())
+        );
+    }
+
+    #[test]
+    fn number_without_integer_part_is_rejected() {
+        assert_eq!(
+            parse_err("-.5"),
+            (1, "expected digit in number".to_string())
+        );
+        assert_eq!(parse_err("-"), (1, "expected digit in number".to_string()));
+    }
+
+    #[test]
+    fn number_with_empty_exponent_is_rejected() {
+        assert_eq!(
+            parse_err("1e"),
+            (2, "expected digit in exponent".to_string())
+        );
+        assert_eq!(
+            parse_err("1e+"),
+            (3, "expected digit in exponent".to_string())
+        );
+    }
+
+    #[test]
+    fn number_overflowing_f64_is_an_error_not_infinity() {
+        for text in ["1e400", "-1e400", "1.5E+309"] {
+            assert_eq!(
+                parse_err(text),
+                (0, "number out of range".to_string()),
+                "{text}"
+            );
+        }
+        assert_eq!(
+            parse_err("[7,-1e400]"),
+            (3, "number out of range".to_string())
+        );
+    }
+
+    #[test]
+    fn rfc_8259_numbers_still_parse() {
+        for (text, value) in [
+            ("0", 0.0),
+            ("-0", -0.0),
+            ("0.5", 0.5),
+            ("-0.5e1", -5.0),
+            ("10", 10.0),
+            ("1E+2", 100.0),
+            ("1e-400", 0.0),
+            ("1.7976931348623157e308", f64::MAX),
+        ] {
+            assert_eq!(Json::parse(text).unwrap().as_f64(), Some(value), "{text}");
+        }
+    }
+
+    /// Differential fuzz of the bulk-copy string scanner and writer
+    /// against [`wire_oracle`]'s per-character ones: string literals
+    /// built from escapes, surrogate pairs, multibyte UTF-8, raw control
+    /// bytes and unterminated ends, then mutated by a fixed-seed
+    /// xorshift. Both parsers must return the same `Result` — the same
+    /// value, or the same error offset and message — and both writers
+    /// the same bytes.
+    mod differential {
+        use super::super::wire_oracle;
+        use super::*;
+        use mosaic_image::testutil::XorShift;
+
+        /// Literal fragments: plain text, every escape kind (valid and
+        /// broken), multibyte UTF-8 and raw control bytes.
+        const FRAGMENTS: &[&str] = &[
+            "a",
+            "hello world",
+            "0123456789abcdef",
+            "\\\"",
+            "\\\\",
+            "\\/",
+            "\\n",
+            "\\r",
+            "\\t",
+            "\\b",
+            "\\f",
+            "\\u0041",
+            "\\u00e9",
+            "\\u20AC",
+            "\\ud83d\\ude00",
+            "\\uD834\\uDD1E",
+            "\\ud83d",
+            "\\ud83dx",
+            "\\ud83d\\u0041",
+            "\\udc00",
+            "\\u12",
+            "\\uZZZZ",
+            "\\u+041",
+            "\\x",
+            "\\",
+            "é",
+            "€",
+            "😀",
+            "中文",
+            "\u{7f}",
+            "\u{0}",
+            "\u{1}",
+            "\u{1f}",
+            "\n",
+            "\t",
+            "\"",
+            "'",
+        ];
+
+        /// Characters a mutation inserts or substitutes.
+        const MUTATIONS: &[char] = &[
+            '"', '\\', 'u', 'd', '8', 'D', 'c', '0', 'f', 'n', '/', '\u{0}', '\u{1f}', '\n', ' ',
+            'é', '€', '😀', '\u{7f}', 'z', '+', '{',
+        ];
+
+        fn literal(rng: &mut XorShift) -> String {
+            let mut text = String::from("\"");
+            for _ in 0..rng.below(12) {
+                text.push_str(FRAGMENTS[rng.below(FRAGMENTS.len())]);
+            }
+            if rng.below(8) != 0 {
+                text.push('"');
+            }
+            text
+        }
+
+        /// Insert, delete or replace a few characters after the opening
+        /// quote (so the value stays a string literal, and the number
+        /// grammar — deliberately stricter than the oracle's — is never
+        /// reached).
+        fn mutate(rng: &mut XorShift, text: &str) -> String {
+            let mut chars: Vec<char> = text.chars().collect();
+            for _ in 0..rng.below(4) {
+                let at = 1 + rng.below(chars.len());
+                let c = MUTATIONS[rng.below(MUTATIONS.len())];
+                match rng.below(3) {
+                    0 => chars.insert(at, c),
+                    1 if at < chars.len() => {
+                        chars.remove(at);
+                    }
+                    _ if at < chars.len() => chars[at] = c,
+                    _ => chars.push(c),
+                }
+            }
+            chars.into_iter().collect()
+        }
+
+        fn assert_same_parse(text: &str) {
+            let fast = Json::parse(text);
+            let oracle = wire_oracle::parse(text);
+            assert_eq!(fast, oracle, "parse diverged on {:?}", preview(text));
+            if let Ok(value) = &fast {
+                assert_eq!(value.encode(), wire_oracle::encode(value));
+            }
+        }
+
+        fn assert_same_encode(s: &str) {
+            let value = Json::Str(s.to_string());
+            let fast = value.encode();
+            assert_eq!(
+                fast,
+                wire_oracle::encode(&value),
+                "encode diverged on {:?}",
+                preview(s)
+            );
+            assert_eq!(Json::parse(&fast).as_ref(), Ok(&value));
+        }
+
+        fn preview(text: &str) -> String {
+            text.chars().take(80).collect()
+        }
+
+        #[test]
+        fn mutated_string_literals_match_the_oracle() {
+            let mut rng = XorShift::new(0x5EED_C0DE);
+            for _ in 0..20_000 {
+                let base = literal(&mut rng);
+                assert_same_parse(&base);
+                assert_same_parse(&mutate(&mut rng, &base));
+                // The same literal as an object key and inside an array.
+                let key = mutate(&mut rng, &base);
+                assert_same_parse(&format!("{{{key}:1}}"));
+                assert_same_parse(&format!("[{base},{key}]"));
+            }
+        }
+
+        #[test]
+        fn arbitrary_strings_encode_like_the_oracle() {
+            let mut rng = XorShift::new(0xE5CA_9E);
+            for len in 0..200 {
+                let s: String = (0..len)
+                    .map(|_| match rng.below(4) {
+                        0 => MUTATIONS[rng.below(MUTATIONS.len())],
+                        1 => char::from(rng.below(0x20) as u8),
+                        _ => char::from(b' ' + rng.below(95) as u8),
+                    })
+                    .collect();
+                assert_same_encode(&s);
+            }
+        }
+
+        /// Payloads from empty to 4 MiB, straddling the 8-byte word
+        /// boundaries of the bulk scan, with a stop byte planted at the
+        /// first, middle and last position.
+        #[test]
+        fn long_literals_match_the_oracle_at_every_size() {
+            let mut rng = XorShift::new(0x4D1B);
+            for len in [0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 4096, 65_537, 4 << 20] {
+                let body: String = (0..len)
+                    .map(|_| char::from(b'0' + rng.below(75) as u8))
+                    .map(|c| if c == '\\' { '/' } else { c })
+                    .collect();
+                assert_same_encode(&body);
+                assert_same_parse(&format!("\"{body}\""));
+                assert_same_parse(&format!("\"{body}"));
+                if len == 0 {
+                    continue;
+                }
+                for at in [0, len / 2, len - 1] {
+                    for stop in ["\\n", "\\u00e9", "\\ud83d\\ude00", "\u{1}", "\\q", "é"] {
+                        let mut text = format!("\"{body}\"");
+                        text.replace_range(1 + at..2 + at, stop);
+                        assert_same_parse(&text);
+                    }
+                }
+            }
+        }
     }
 }

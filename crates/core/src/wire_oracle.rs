@@ -1,0 +1,373 @@
+//! Named oracle for the line-JSON wire codec: the per-character string
+//! scanner, the per-character string writer and the nibble-at-a-time hex
+//! codec, exactly as they shipped before the bulk-copy codec replaced
+//! them.
+//!
+//! This file is compiled twice and nowhere else: as
+//! `photomosaic::json::wire_oracle` under `#[cfg(test)]`, where the
+//! differential tests assert that `Json::parse`, `Json::encode`,
+//! `hex_encode` and `hex_decode` return exactly what these functions
+//! return (values, error offsets and messages), and by the `codec`
+//! suite of `crates/bench`'s `bench` binary, which times these oracle
+//! arms next to the fast ones in one run. Both includers put `Json` and
+//! `JsonError` in scope of the parent module.
+
+use super::{Json, JsonError};
+
+/// Parse JSON text one UTF-8 scalar at a time inside strings.
+///
+/// # Errors
+/// The same [`JsonError`] offsets and messages the parser produced
+/// before the bulk-copy scanner.
+pub fn parse(text: &str) -> Result<Json, JsonError> {
+    let bytes = text.as_bytes();
+    let mut p = Parser {
+        bytes,
+        pos: 0,
+        depth: 0,
+    };
+    p.skip_ws();
+    let value = p.value()?;
+    p.skip_ws();
+    if p.pos != bytes.len() {
+        return Err(p.err("trailing characters after JSON value"));
+    }
+    Ok(value)
+}
+
+/// Serialize to compact JSON text, escaping strings one `char` at a time.
+pub fn encode(value: &Json) -> String {
+    let mut out = String::new();
+    write(value, &mut out);
+    out
+}
+
+/// Encode bytes as lowercase hex, one nibble at a time.
+pub fn hex_encode(bytes: &[u8]) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut out = String::with_capacity(bytes.len() * 2);
+    for &b in bytes {
+        out.push(DIGITS[usize::from(b >> 4)] as char);
+        out.push(DIGITS[usize::from(b & 0xF)] as char);
+    }
+    out
+}
+
+/// Decode lowercase/uppercase hex into bytes, one nibble at a time.
+///
+/// # Errors
+/// Returns a description on odd length or non-hex characters.
+pub fn hex_decode(hex: &str) -> Result<Vec<u8>, String> {
+    let bytes = hex.as_bytes();
+    if !bytes.len().is_multiple_of(2) {
+        return Err("hex string has odd length".to_string());
+    }
+    let digit = |b: u8| -> Result<u8, String> {
+        (b as char)
+            .to_digit(16)
+            .map(|d| d as u8)
+            .ok_or_else(|| format!("invalid hex byte {:?}", b as char))
+    };
+    bytes
+        .chunks_exact(2)
+        .map(|pair| Ok(digit(pair[0])? << 4 | digit(pair[1])?))
+        .collect()
+}
+
+fn write(value: &Json, out: &mut String) {
+    match value {
+        Json::Null => out.push_str("null"),
+        Json::Bool(true) => out.push_str("true"),
+        Json::Bool(false) => out.push_str("false"),
+        Json::Num(n) => write_number(*n, out),
+        Json::Str(s) => write_string(s, out),
+        Json::Arr(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write(item, out);
+            }
+            out.push(']');
+        }
+        Json::Obj(pairs) => {
+            out.push('{');
+            for (i, (k, v)) in pairs.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_string(k, out);
+                out.push(':');
+                write(v, out);
+            }
+            out.push('}');
+        }
+    }
+}
+
+fn write_number(n: f64, out: &mut String) {
+    if !n.is_finite() {
+        out.push_str("null");
+    } else if n.fract() == 0.0 && n.abs() < 2f64.powi(53) {
+        out.push_str(&format!("{}", n as i64));
+    } else {
+        out.push_str(&format!("{n}"));
+    }
+}
+
+fn write_string(s: &str, out: &mut String) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            '\u{08}' => out.push_str("\\b"),
+            '\u{0C}' => out.push_str("\\f"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+const MAX_DEPTH: usize = 128;
+
+struct Parser<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    depth: usize,
+}
+
+impl Parser<'_> {
+    fn err(&self, message: &str) -> JsonError {
+        JsonError {
+            offset: self.pos,
+            message: message.to_string(),
+        }
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    fn expect_byte(&mut self, b: u8) -> Result<(), JsonError> {
+        if self.peek() == Some(b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(self.err(&format!("expected {:?}", b as char)))
+        }
+    }
+
+    fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
+        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(value)
+        } else {
+            Err(self.err(&format!("expected {word:?}")))
+        }
+    }
+
+    fn value(&mut self) -> Result<Json, JsonError> {
+        match self.peek() {
+            Some(b'n') => self.literal("null", Json::Null),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b'[') => self.nested(Parser::array),
+            Some(b'{') => self.nested(Parser::object),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(_) => Err(self.err("unexpected character")),
+            None => Err(self.err("unexpected end of input")),
+        }
+    }
+
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth >= MAX_DEPTH {
+            return Err(self.err("nesting deeper than 128 levels"));
+        }
+        self.depth += 1;
+        let result = parse(self);
+        self.depth -= 1;
+        result
+    }
+
+    fn array(&mut self) -> Result<Json, JsonError> {
+        self.expect_byte(b'[')?;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Json::Arr(items));
+        }
+        loop {
+            self.skip_ws();
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Json::Arr(items));
+                }
+                _ => return Err(self.err("expected ',' or ']'")),
+            }
+        }
+    }
+
+    fn object(&mut self) -> Result<Json, JsonError> {
+        self.expect_byte(b'{')?;
+        let mut pairs = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Json::Obj(pairs));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect_byte(b':')?;
+            self.skip_ws();
+            let value = self.value()?;
+            pairs.push((key, value));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Json::Obj(pairs));
+                }
+                _ => return Err(self.err("expected ',' or '}'")),
+            }
+        }
+    }
+
+    fn string(&mut self) -> Result<String, JsonError> {
+        self.expect_byte(b'"')?;
+        let mut out = String::new();
+        loop {
+            match self.peek() {
+                None => return Err(self.err("unterminated string")),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    self.pos += 1;
+                    match self.peek() {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'b') => out.push('\u{08}'),
+                        Some(b'f') => out.push('\u{0C}'),
+                        Some(b'u') => {
+                            self.pos += 1;
+                            let first = self.hex4()?;
+                            let c = if (0xD800..0xDC00).contains(&first) {
+                                // Surrogate pair: expect \uXXXX low half.
+                                if self.bytes[self.pos..].starts_with(b"\\u") {
+                                    self.pos += 2;
+                                    let low = self.hex4()?;
+                                    if !(0xDC00..0xE000).contains(&low) {
+                                        return Err(self.err("invalid low surrogate"));
+                                    }
+                                    let code = 0x10000 + ((first - 0xD800) << 10) + (low - 0xDC00);
+                                    char::from_u32(code)
+                                } else {
+                                    return Err(self.err("unpaired surrogate"));
+                                }
+                            } else {
+                                char::from_u32(first)
+                            };
+                            match c {
+                                Some(c) => out.push(c),
+                                None => return Err(self.err("invalid unicode escape")),
+                            }
+                            continue; // hex4 already advanced past digits
+                        }
+                        _ => return Err(self.err("invalid escape")),
+                    }
+                    self.pos += 1;
+                }
+                Some(b) if b < 0x20 => return Err(self.err("control character in string")),
+                Some(_) => {
+                    // Consume one UTF-8 scalar (input is a &str, so this
+                    // boundary arithmetic is safe).
+                    let rest = &self.bytes[self.pos..];
+                    let len = utf8_len(rest[0]);
+                    let chunk =
+                        std::str::from_utf8(&rest[..len]).map_err(|_| self.err("invalid UTF-8"))?;
+                    out.push_str(chunk);
+                    self.pos += len;
+                }
+            }
+        }
+    }
+
+    fn hex4(&mut self) -> Result<u32, JsonError> {
+        if self.pos + 4 > self.bytes.len() {
+            return Err(self.err("truncated unicode escape"));
+        }
+        let s = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
+            .map_err(|_| self.err("invalid unicode escape"))?;
+        let v = u32::from_str_radix(s, 16).map_err(|_| self.err("invalid unicode escape"))?;
+        self.pos += 4;
+        Ok(v)
+    }
+
+    fn number(&mut self) -> Result<Json, JsonError> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            while matches!(self.peek(), Some(b'0'..=b'9')) {
+                self.pos += 1;
+            }
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            while matches!(self.peek(), Some(b'0'..=b'9')) {
+                self.pos += 1;
+            }
+        }
+        let text = std::str::from_utf8(&self.bytes[start..self.pos])
+            .map_err(|_| self.err("invalid number"))?;
+        text.parse::<f64>()
+            .map(Json::Num)
+            .map_err(|_| self.err("invalid number"))
+    }
+}
+
+fn utf8_len(first: u8) -> usize {
+    match first {
+        0x00..=0x7F => 1,
+        0xC0..=0xDF => 2,
+        0xE0..=0xEF => 3,
+        _ => 4,
+    }
+}

@@ -398,7 +398,11 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
             }
             Err(ReadError::Io(_)) => return,
         };
-        let reply = match Request::from_json(&message) {
+        // The decoded request is all routing needs: free the parsed
+        // tree (megabytes of hex for a pixel job) before forwarding.
+        let request = Request::from_json(&message);
+        drop(message);
+        let reply = match request {
             Err(problem) => Response::Error { message: problem }.to_json(),
             Ok(Request::Ping) => Response::Pong.to_json(),
             Ok(Request::Stats) => Response::Stats {

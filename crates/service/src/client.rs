@@ -1,7 +1,9 @@
 //! Client side of the wire protocol, plus a multi-threaded load
 //! generator for exercising a running server.
 
-use crate::protocol::{read_message, write_message, Request, Response};
+use crate::protocol::{
+    library_message, read_message, submit_message, write_message, Request, Response,
+};
 use mosaic_image::synth::XorShift64;
 use mosaic_tilelib::LibraryJobSpec;
 use photomosaic::{JobSpec, Json};
@@ -72,7 +74,15 @@ impl Client {
     /// I/O failures, a server-side disconnect, or a malformed response
     /// (surfaced as [`std::io::ErrorKind::InvalidData`]).
     pub fn request(&mut self, request: &Request) -> std::io::Result<Response> {
-        write_message(&mut self.writer, &request.to_json())?;
+        self.round_trip(request.to_json())
+    }
+
+    /// Send one request and wait for its response. The request tree is
+    /// freed once written, not held while the job runs, and the response
+    /// is moved out of the parsed reply rather than copied.
+    fn round_trip(&mut self, request: Json) -> std::io::Result<Response> {
+        write_message(&mut self.writer, &request)?;
+        drop(request);
         let message = read_message(&mut self.reader, MAX_RESPONSE_FRAME_BYTES)
             .map_err(std::io::Error::from)?
             .ok_or_else(|| {
@@ -81,7 +91,7 @@ impl Client {
                     "server closed the connection",
                 )
             })?;
-        Response::from_json(&message)
+        Response::try_from(message)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
     }
 
@@ -90,7 +100,7 @@ impl Client {
     /// # Errors
     /// See [`request`](Self::request).
     pub fn submit(&mut self, spec: &JobSpec) -> std::io::Result<Response> {
-        self.request(&Request::Submit(Box::new(spec.clone())))
+        self.round_trip(submit_message(spec))
     }
 
     /// Submit one job, retrying on the typed refusals — queue-full
@@ -133,7 +143,7 @@ impl Client {
     /// # Errors
     /// See [`request`](Self::request).
     pub fn submit_library(&mut self, spec: &LibraryJobSpec) -> std::io::Result<Response> {
-        self.request(&Request::Library(Box::new(spec.clone())))
+        self.round_trip(library_message(spec))
     }
 
     /// Fetch aggregate metrics.

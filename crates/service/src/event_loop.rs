@@ -28,6 +28,7 @@ use crate::protocol::{FrameAccumulator, ReadError, Request, Response};
 use crate::queue::PushError;
 use crate::server::{dispatch_request, Dispatch, Job, JobPayload, ReplyTo, Shared, WorkerReply};
 use mosaic_telemetry::lock_unpoisoned;
+use photomosaic::Json;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -317,7 +318,7 @@ impl EventLoop {
         };
         push_response(
             &mut conn,
-            &Response::Rejected {
+            Response::Rejected {
                 retry_after_ms: self.shared.config.retry_after_ms,
             },
         );
@@ -405,7 +406,7 @@ impl EventLoop {
                         };
                         conn.busy = false;
                         conn.last_activity = now;
-                        push_response(conn, &response);
+                        push_response(conn, response);
                         advance_frames(conn, token, &self.shared, &self.board, now)
                             && flush_conn(conn, now).is_ok()
                     };
@@ -499,7 +500,7 @@ fn read_into_conn(
                         shared.metrics.frame_too_large();
                         push_response(
                             conn,
-                            &Response::FrameTooLarge {
+                            Response::FrameTooLarge {
                                 max_frame_bytes: limit as u64,
                             },
                         );
@@ -535,7 +536,7 @@ fn advance_frames(
             Err(ReadError::Malformed(problem)) => {
                 // Framing trust is lost: answer, then drop — exactly
                 // the threaded front-end's malformed-line policy.
-                push_response(conn, &Response::Error { message: problem });
+                push_response(conn, Response::Error { message: problem });
                 conn.dead_input = true;
                 conn.close_after_flush = true;
                 break;
@@ -553,7 +554,7 @@ fn advance_frames(
             },
         };
         if let Some(response) = inline {
-            push_response(conn, &response);
+            push_response(conn, response);
         }
     }
     true
@@ -595,11 +596,18 @@ fn enqueue(
     }
 }
 
-/// Encode one response line into the connection's outbound buffer.
-fn push_response(conn: &mut Conn, response: &Response) {
-    let mut line = response.to_json().encode();
+/// Encode one response line into the connection's outbound buffer. The
+/// response's payload moves into the encoder, and an idle buffer is
+/// replaced by the encoded line rather than copied into.
+fn push_response(conn: &mut Conn, response: Response) {
+    let mut line = Json::from(response).encode();
     line.push('\n');
-    conn.out.extend_from_slice(line.as_bytes());
+    if conn.out.is_empty() {
+        conn.out = line.into_bytes();
+        conn.out_from = 0;
+    } else {
+        conn.out.extend_from_slice(line.as_bytes());
+    }
 }
 
 /// Write as much buffered output as the kernel will take. `Err` means

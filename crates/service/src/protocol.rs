@@ -129,17 +129,13 @@ impl Request {
     /// Serialize for the wire.
     pub fn to_json(&self) -> Json {
         match self {
-            Request::Submit(spec) => {
-                Json::obj([("op", Json::from(ops::SUBMIT)), ("job", spec.to_json())])
-            }
+            Request::Submit(spec) => submit_message(spec),
             Request::Stats => Json::obj([("op", Json::from(ops::STATS))]),
             Request::Metrics => Json::obj([("op", Json::from(ops::METRICS))]),
             Request::Ping => Json::obj([("op", Json::from(ops::PING))]),
             Request::Shutdown => Json::obj([("op", Json::from(ops::SHUTDOWN))]),
             Request::GatewayInfo => Json::obj([("op", Json::from(ops::GATEWAY))]),
-            Request::Library(spec) => {
-                Json::obj([("op", Json::from(ops::LIBRARY)), ("job", spec.to_json())])
-            }
+            Request::Library(spec) => library_message(spec),
         }
     }
 
@@ -169,6 +165,17 @@ impl Request {
             other => Err(format!("unknown op {other:?}")),
         }
     }
+}
+
+/// The `submit` request line for `spec`, encoded straight from the
+/// borrowed spec (no copy of its pixel payload).
+pub(crate) fn submit_message(spec: &JobSpec) -> Json {
+    Json::obj([("op", Json::from(ops::SUBMIT)), ("job", spec.to_json())])
+}
+
+/// The `library` request line for `spec`, encoded from the borrow.
+pub(crate) fn library_message(spec: &LibraryJobSpec) -> Json {
+    Json::obj([("op", Json::from(ops::LIBRARY)), ("job", spec.to_json())])
 }
 
 /// A server response.
@@ -252,81 +259,99 @@ pub enum Response {
 }
 
 impl Response {
-    /// Serialize for the wire.
+    /// Serialize for the wire. Clones the payload of a `result`, `stats`
+    /// or `gateway` response; an owner that is done with the response
+    /// should move it with [`Json::from`] instead.
     pub fn to_json(&self) -> Json {
-        match self {
-            Response::Result { result } => Json::obj([
-                ("kind", Json::from(kinds::RESULT)),
-                (kinds::RESULT, result.clone()),
-            ]),
+        Json::from(self.clone())
+    }
+
+    /// Parse the shape produced by [`to_json`](Self::to_json). Copies the
+    /// payload out of `value`; an owner of the parsed tree should move it
+    /// with [`Response::try_from`] instead.
+    ///
+    /// # Errors
+    /// Returns a description of the first malformed field.
+    pub fn from_json(value: &Json) -> Result<Response, String> {
+        Response::try_from(value.clone())
+    }
+}
+
+impl From<Response> for Json {
+    /// Serialize for the wire, moving any payload into the tree.
+    fn from(response: Response) -> Json {
+        match response {
+            Response::Result { result } => {
+                Json::obj([("kind", Json::from(kinds::RESULT)), (kinds::RESULT, result)])
+            }
             Response::Rejected { retry_after_ms } => Json::obj([
                 ("kind", Json::from(kinds::REJECTED)),
-                ("retry_after_ms", Json::from(*retry_after_ms)),
+                ("retry_after_ms", Json::from(retry_after_ms)),
             ]),
-            Response::Stats { stats } => Json::obj([
-                ("kind", Json::from(kinds::STATS)),
-                (kinds::STATS, stats.clone()),
-            ]),
+            Response::Stats { stats } => {
+                Json::obj([("kind", Json::from(kinds::STATS)), (kinds::STATS, stats)])
+            }
             Response::Metrics { text } => Json::obj([
                 ("kind", Json::from(kinds::METRICS)),
-                ("text", Json::from(text.as_str())),
+                ("text", Json::from(text)),
             ]),
             Response::Pong => Json::obj([("kind", Json::from(kinds::PONG))]),
             Response::ShuttingDown => Json::obj([("kind", Json::from(kinds::SHUTTING_DOWN))]),
             Response::Error { message } => Json::obj([
                 ("kind", Json::from(kinds::ERROR)),
-                ("message", Json::from(message.as_str())),
+                ("message", Json::from(message)),
             ]),
             Response::FrameTooLarge { max_frame_bytes } => Json::obj([
                 ("kind", Json::from(kinds::FRAME_TOO_LARGE)),
-                ("max_frame_bytes", Json::from(*max_frame_bytes)),
+                ("max_frame_bytes", Json::from(max_frame_bytes)),
             ]),
             Response::DeadlineExceeded { deadline_ms } => Json::obj([
                 ("kind", Json::from(kinds::DEADLINE_EXCEEDED)),
-                ("deadline_ms", Json::from(*deadline_ms)),
+                ("deadline_ms", Json::from(deadline_ms)),
             ]),
             Response::Gateway { gateway } => Json::obj([
                 ("kind", Json::from(kinds::GATEWAY)),
-                (kinds::GATEWAY, gateway.clone()),
+                (kinds::GATEWAY, gateway),
             ]),
             Response::BackendDown {
                 backend,
                 retry_after_ms,
             } => Json::obj([
                 ("kind", Json::from(kinds::BACKEND_DOWN)),
-                ("backend", Json::from(backend.as_str())),
-                ("retry_after_ms", Json::from(*retry_after_ms)),
+                ("backend", Json::from(backend)),
+                ("retry_after_ms", Json::from(retry_after_ms)),
             ]),
             Response::NoBackendAvailable { retry_after_ms } => Json::obj([
                 ("kind", Json::from(kinds::NO_BACKEND_AVAILABLE)),
-                ("retry_after_ms", Json::from(*retry_after_ms)),
+                ("retry_after_ms", Json::from(retry_after_ms)),
             ]),
             Response::StoreError { message } => Json::obj([
                 ("kind", Json::from(kinds::STORE_ERROR)),
-                ("message", Json::from(message.as_str())),
+                ("message", Json::from(message)),
             ]),
             Response::LibraryInfeasible { cells, tiles } => Json::obj([
                 ("kind", Json::from(kinds::LIBRARY_INFEASIBLE)),
-                ("cells", Json::from(*cells)),
-                ("tiles", Json::from(*tiles)),
+                ("cells", Json::from(cells)),
+                ("tiles", Json::from(tiles)),
             ]),
         }
     }
+}
 
-    /// Parse the shape produced by [`to_json`](Self::to_json).
-    ///
-    /// # Errors
-    /// Returns a description of the first malformed field.
-    pub fn from_json(value: &Json) -> Result<Response, String> {
+impl TryFrom<Json> for Response {
+    type Error = String;
+
+    /// Parse the shape produced by [`Json::from`], moving any payload
+    /// out of `value`.
+    fn try_from(mut value: Json) -> Result<Response, String> {
         let kind = value
             .get("kind")
             .and_then(Json::as_str)
-            .ok_or("response needs a \"kind\" string")?;
-        match kind {
+            .ok_or("response needs a \"kind\" string")?
+            .to_owned();
+        match kind.as_str() {
             kinds::RESULT => Ok(Response::Result {
-                result: value
-                    .get(kinds::RESULT)
-                    .cloned()
+                result: take(&mut value, kinds::RESULT)
                     .ok_or("result response needs a \"result\"")?,
             }),
             kinds::REJECTED => Ok(Response::Rejected {
@@ -336,10 +361,7 @@ impl Response {
                     .ok_or("rejected response needs \"retry_after_ms\"")?,
             }),
             kinds::STATS => Ok(Response::Stats {
-                stats: value
-                    .get(kinds::STATS)
-                    .cloned()
-                    .ok_or("stats response needs \"stats\"")?,
+                stats: take(&mut value, kinds::STATS).ok_or("stats response needs \"stats\"")?,
             }),
             kinds::METRICS => Ok(Response::Metrics {
                 text: value
@@ -370,9 +392,7 @@ impl Response {
                     .ok_or("deadline-exceeded response needs \"deadline_ms\"")?,
             }),
             kinds::GATEWAY => Ok(Response::Gateway {
-                gateway: value
-                    .get(kinds::GATEWAY)
-                    .cloned()
+                gateway: take(&mut value, kinds::GATEWAY)
                     .ok_or("gateway response needs a \"gateway\"")?,
             }),
             kinds::BACKEND_DOWN => Ok(Response::BackendDown {
@@ -411,6 +431,17 @@ impl Response {
             }),
             other => Err(format!("unknown response kind {other:?}")),
         }
+    }
+}
+
+/// Move member `key` out of an object, leaving `null` in its place.
+fn take(value: &mut Json, key: &str) -> Option<Json> {
+    match value {
+        Json::Obj(pairs) => pairs
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| std::mem::replace(v, Json::Null)),
+        _ => None,
     }
 }
 
@@ -887,7 +918,11 @@ mod tests {
     #[test]
     fn accumulator_zero_limit_means_unlimited() {
         let mut acc = FrameAccumulator::new(0);
-        let big = vec![b'1'; 1024 * 1024];
+        // A 1 MiB string literal (a 1 MiB run of digits would be a
+        // number too large for an f64, which the parser refuses).
+        let mut big = vec![b'1'; 1024 * 1024];
+        big[0] = b'"';
+        big.push(b'"');
         acc.extend(&big).unwrap();
         acc.extend(b"\n").unwrap();
         assert!(acc.next_message().unwrap().is_some());

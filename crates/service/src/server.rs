@@ -513,7 +513,7 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, permit: Connection
                 },
             },
         };
-        if write_message(&mut writer, &response.to_json()).is_err() {
+        if write_message(&mut writer, &Json::from(response)).is_err() {
             return;
         }
     }

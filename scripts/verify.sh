@@ -165,7 +165,7 @@ fi
 # Published benchmark artifacts: the committed root BENCH_search.json
 # must exist and hold the pool-vs-scoped comparison (parsed with the
 # workspace's own Json reader by tests/bench_artifacts.rs).
-for artifact in BENCH_search.json BENCH_fleet.json BENCH_tilelib.json BENCH_error_matrix.json; do
+for artifact in BENCH_search.json BENCH_fleet.json BENCH_tilelib.json BENCH_error_matrix.json BENCH_codec.json; do
     if [ ! -f "$artifact" ]; then
         suite=$(echo "$artifact" | sed 's/^BENCH_//; s/\.json$//')
         echo "error: $artifact missing from the workspace root" >&2

@@ -155,6 +155,28 @@ fn error_matrix_exposition_shows_simd_beating_the_scalar_oracle() {
 }
 
 #[test]
+fn codec_exposition_shows_every_fast_arm_beating_its_oracle() {
+    // The wire-codec evidence: on a 1024 px pixel job (a 4.2 MB request
+    // line, a 2.1 MB result line), the bulk-copy string scanner/writer
+    // and table-driven hex must not lose to the per-character oracle in
+    // any of the six encode/parse/decode steps. The suite asserts both
+    // arms produce identical bytes and values before timing them.
+    // Regenerate with `cargo run --release -p mosaic-bench --bin bench
+    // -- --suite codec`.
+    let doc = root_artifact("BENCH_codec.json");
+    for payload in ["request", "result"] {
+        for step in ["encode", "parse", "decode"] {
+            let fast = min_us(&doc, &format!("bench_codec_{payload}_{step}_fast_us"));
+            let oracle = min_us(&doc, &format!("bench_codec_{payload}_{step}_oracle_us"));
+            assert!(
+                fast <= oracle,
+                "{payload} {step}: fast codec ({fast} us) lost to the oracle ({oracle} us)"
+            );
+        }
+    }
+}
+
+#[test]
 fn every_published_suite_exposition_parses() {
     for suite in [
         "error_matrix",
@@ -164,6 +186,7 @@ fn every_published_suite_exposition_parses() {
         "search",
         "fleet",
         "tilelib",
+        "codec",
     ] {
         let doc = root_artifact(&format!("BENCH_{suite}.json"));
         assert!(
