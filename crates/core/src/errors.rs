@@ -64,15 +64,21 @@ pub fn compute_error_matrix<P: Pixel>(
     metric: TileMetric,
     backend: Backend,
 ) -> Result<(ErrorMatrix, StepTrace), LayoutError> {
-    match compute_error_matrix_bounded(input, target, layout, metric, backend, &Deadline::NONE) {
-        Ok(out) => Ok(out),
-        Err(BuildError::Layout(e)) => Err(e),
-        // lint:allow(panic) Deadline::NONE can never be exceeded
-        Err(BuildError::DeadlineExceeded(_)) => unreachable!("unbounded deadline expired"),
-    }
+    compute_error_matrix_bounded_in(
+        mosaic_pool::global(),
+        input,
+        target,
+        layout,
+        metric,
+        backend,
+        &Deadline::NONE,
+    )
+    .map_err(BuildError::into_layout)
 }
 
-/// [`compute_error_matrix`] with cooperative cancellation.
+/// [`compute_error_matrix`] with cooperative cancellation, the parallel
+/// backends dispatched on an explicit [`ThreadPool`] instead of the
+/// process-wide one.
 ///
 /// The threaded backend polls `deadline` at row boundaries; the serial
 /// and simulated-GPU backends are not internally interruptible, so for
@@ -83,30 +89,6 @@ pub fn compute_error_matrix<P: Pixel>(
 /// # Errors
 /// Returns [`BuildError::Layout`] when either image does not match
 /// `layout`, and [`BuildError::DeadlineExceeded`] when `deadline` expires.
-pub fn compute_error_matrix_bounded<P: Pixel>(
-    input: &Image<P>,
-    target: &Image<P>,
-    layout: TileLayout,
-    metric: TileMetric,
-    backend: Backend,
-    deadline: &Deadline,
-) -> Result<(ErrorMatrix, StepTrace), BuildError> {
-    compute_error_matrix_bounded_in(
-        mosaic_pool::global(),
-        input,
-        target,
-        layout,
-        metric,
-        backend,
-        deadline,
-    )
-}
-
-/// [`compute_error_matrix_bounded`] with the parallel backends dispatched
-/// on an explicit [`ThreadPool`] instead of the process-wide one.
-///
-/// # Errors
-/// See [`compute_error_matrix_bounded`].
 pub fn compute_error_matrix_bounded_in<P: Pixel>(
     pool: &Arc<ThreadPool>,
     input: &Image<P>,

@@ -76,11 +76,11 @@ pub use config::{Algorithm, Backend, MosaicBuilder, MosaicConfig, Preprocess};
 pub use job::{ImageSource, JobResult, JobSpec};
 pub use json::Json;
 pub use library::assemble_from_tiles;
+/// Why a bounded run did not produce a mosaic: the images do not fit
+/// the layout, or the caller's [`Deadline`] expired. One enum serves the
+/// Step-2 builders and the whole pipeline.
+pub use mosaic_grid::BuildError as GenerateError;
 pub use mosaic_grid::{Deadline, DeadlineExceeded};
-pub use pipeline::{
-    generate, generate_bounded, generate_bounded_in, generate_returning_matrix,
-    generate_returning_matrix_bounded, generate_returning_matrix_bounded_in, generate_with_matrix,
-    generate_with_matrix_bounded, generate_with_matrix_bounded_in, GenerateError, MosaicResult,
-};
+pub use pipeline::{generate, generate_in, MosaicResult};
 pub use pipeline_rgb::{generate_rgb, RgbMosaicResult};
 pub use report::GenerationReport;

@@ -37,19 +37,6 @@ pub fn local_search(matrix: &ErrorMatrix) -> SearchOutcome {
     local_search_from(matrix, (0..matrix.size()).collect())
 }
 
-/// [`local_search`] with cooperative cancellation: the deadline is polled
-/// before every sweep, so overshoot past an expiry is at most one sweep.
-///
-/// # Errors
-/// Returns [`DeadlineExceeded`] when `deadline` expires before the search
-/// converges (including a deadline that was already expired on entry).
-pub fn local_search_bounded(
-    matrix: &ErrorMatrix,
-    deadline: &Deadline,
-) -> Result<SearchOutcome, DeadlineExceeded> {
-    local_search_from_bounded(matrix, (0..matrix.size()).collect(), deadline)
-}
-
 /// Run Algorithm 1 from an explicit starting arrangement (used by the
 /// ablations and the annealing post-pass).
 ///
@@ -65,11 +52,13 @@ pub fn local_search_from(matrix: &ErrorMatrix, assignment: Vec<usize>) -> Search
     ))
 }
 
-/// [`local_search_from`] with cooperative cancellation (see
-/// [`local_search_bounded`] for the polling granularity).
+/// [`local_search_from`] with cooperative cancellation: the deadline is
+/// polled before every sweep, so overshoot past an expiry is at most one
+/// sweep.
 ///
 /// # Errors
-/// Returns [`DeadlineExceeded`] when `deadline` expires before convergence.
+/// Returns [`DeadlineExceeded`] when `deadline` expires before the search
+/// converges (including a deadline that was already expired on entry).
 ///
 /// # Panics
 /// Panics when `assignment` has the wrong length (as [`local_search_from`]).
@@ -78,25 +67,19 @@ pub fn local_search_from_bounded(
     mut assignment: Vec<usize>,
     deadline: &Deadline,
 ) -> Result<SearchOutcome, DeadlineExceeded> {
-    let s = matrix.size();
-    assert_eq!(assignment.len(), s, "assignment length must equal S");
+    assert_eq!(
+        assignment.len(),
+        matrix.size(),
+        "assignment length must equal S"
+    );
     let mut sweeps = 0usize;
     let mut swaps = 0usize;
     loop {
         deadline.check()?;
-        let _sweep = mosaic_telemetry::tracer().span("local_search_sweep");
         sweeps += 1;
-        let mut swapped = false;
-        for p in 0..s {
-            for q in (p + 1)..s {
-                if matrix.swap_gain(&assignment, p, q) > 0 {
-                    assignment.swap(p, q);
-                    swapped = true;
-                    swaps += 1;
-                }
-            }
-        }
-        if !swapped {
+        let sweep_swaps = sweep(matrix, &mut assignment);
+        swaps += sweep_swaps;
+        if sweep_swaps == 0 {
             break;
         }
     }
@@ -107,6 +90,24 @@ pub fn local_search_from_bounded(
         sweeps,
         swaps,
     })
+}
+
+/// One Algorithm-1 sweep: test every position pair `p < q` in order and
+/// swap whenever the swap strictly lowers the total. Returns the number
+/// of swaps made; zero means `assignment` has converged.
+fn sweep(matrix: &ErrorMatrix, assignment: &mut [usize]) -> usize {
+    let _sweep = mosaic_telemetry::tracer().span("local_search_sweep");
+    let s = matrix.size();
+    let mut swaps = 0usize;
+    for p in 0..s {
+        for q in (p + 1)..s {
+            if matrix.swap_gain(assignment, p, q) > 0 {
+                assignment.swap(p, q);
+                swaps += 1;
+            }
+        }
+    }
+    swaps
 }
 
 /// A per-sweep convergence trace.
@@ -123,22 +124,12 @@ pub struct ConvergenceTrace {
 /// [`local_search`] plus the totals after every sweep, used by the
 /// convergence analysis in EXPERIMENTS.md.
 pub fn local_search_traced(matrix: &ErrorMatrix) -> (SearchOutcome, ConvergenceTrace) {
-    let s = matrix.size();
-    let mut assignment: Vec<usize> = (0..s).collect();
+    let mut assignment: Vec<usize> = (0..matrix.size()).collect();
     let mut totals = Vec::new();
     let mut swaps_per_sweep = Vec::new();
     let mut swaps = 0usize;
     loop {
-        let _sweep = mosaic_telemetry::tracer().span("local_search_sweep");
-        let mut sweep_swaps = 0usize;
-        for p in 0..s {
-            for q in (p + 1)..s {
-                if matrix.swap_gain(&assignment, p, q) > 0 {
-                    assignment.swap(p, q);
-                    sweep_swaps += 1;
-                }
-            }
-        }
+        let sweep_swaps = sweep(matrix, &mut assignment);
         swaps += sweep_swaps;
         totals.push(matrix.assignment_total(&assignment));
         swaps_per_sweep.push(sweep_swaps);
@@ -309,7 +300,7 @@ mod tests {
     fn bounded_with_live_deadline_matches_unbounded() {
         let m = ErrorMatrix::from_vec(2, vec![10, 1, 1, 10]);
         let deadline = Deadline::after(std::time::Duration::from_secs(3600));
-        let bounded = local_search_bounded(&m, &deadline).unwrap();
+        let bounded = local_search_from_bounded(&m, vec![0, 1], &deadline).unwrap();
         assert_eq!(bounded, local_search(&m));
     }
 
@@ -317,6 +308,9 @@ mod tests {
     fn bounded_with_expired_deadline_exits_before_any_sweep() {
         let m = ErrorMatrix::from_vec(2, vec![10, 1, 1, 10]);
         let expired = Deadline::after(std::time::Duration::ZERO);
-        assert_eq!(local_search_bounded(&m, &expired), Err(DeadlineExceeded));
+        assert_eq!(
+            local_search_from_bounded(&m, vec![0, 1], &expired),
+            Err(DeadlineExceeded)
+        );
     }
 }

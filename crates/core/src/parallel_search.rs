@@ -136,7 +136,8 @@ pub fn parallel_search_threads(
     schedule: &SwapSchedule,
     threads: usize,
 ) -> ParallelOutcome {
-    never_exceeded(parallel_search_threads_bounded(
+    never_exceeded(parallel_search_threads_bounded_in(
+        mosaic_pool::global(),
         matrix,
         schedule,
         threads,
@@ -145,26 +146,10 @@ pub fn parallel_search_threads(
 }
 
 /// [`parallel_search_threads`] with cooperative cancellation (deadline
-/// polled before every sweep, like the reference path).
-///
-/// # Errors
-/// Returns [`DeadlineExceeded`] when `deadline` expires before convergence.
-///
-/// # Panics
-/// Panics when `threads == 0`.
-pub fn parallel_search_threads_bounded(
-    matrix: &ErrorMatrix,
-    schedule: &SwapSchedule,
-    threads: usize,
-    deadline: &Deadline,
-) -> Result<ParallelOutcome, DeadlineExceeded> {
-    parallel_search_threads_bounded_in(mosaic_pool::global(), matrix, schedule, threads, deadline)
-}
-
-/// [`parallel_search_threads_bounded`] dispatching on an explicit
-/// [`ThreadPool`] instead of the process-wide one. One pool batch per
-/// color group replaces the old per-group `thread::scope`, which cost
-/// O(groups × sweeps × threads) OS thread spawns per search.
+/// polled before every sweep, like the reference path), dispatching on
+/// an explicit [`ThreadPool`] instead of the process-wide one. One pool
+/// batch per color group replaces the old per-group `thread::scope`,
+/// which cost O(groups × sweeps × threads) OS thread spawns per search.
 ///
 /// # Errors
 /// Returns [`DeadlineExceeded`] when `deadline` expires before convergence.
@@ -537,7 +522,8 @@ mod tests {
             reference
         );
         assert_eq!(
-            parallel_search_threads_bounded(&m, &sched, 3, &deadline).unwrap(),
+            parallel_search_threads_bounded_in(mosaic_pool::global(), &m, &sched, 3, &deadline)
+                .unwrap(),
             reference
         );
         assert_eq!(
@@ -557,7 +543,7 @@ mod tests {
             Err(DeadlineExceeded)
         );
         assert_eq!(
-            parallel_search_threads_bounded(&m, &sched, 3, &expired),
+            parallel_search_threads_bounded_in(mosaic_pool::global(), &m, &sched, 3, &expired),
             Err(DeadlineExceeded)
         );
         assert_eq!(

@@ -1,14 +1,16 @@
 //! The end-to-end generation pipeline.
 //!
-//! [`generate`] runs the paper's three steps on a grayscale image pair:
-//! preprocessing + tiling (Step 1), the error matrix (Step 2, on the
-//! configured backend), rearrangement (Step 3, with the configured
-//! algorithm) and final assembly of the rearranged image `R`.
+//! [`generate_in`] runs the paper's three steps on an image pair of any
+//! pixel type: preprocessing + tiling (Step 1), the error matrix (Step 2,
+//! on the configured backend, or a cached matrix), rearrangement (Step 3,
+//! with the configured algorithm) and final assembly of the rearranged
+//! image `R`. [`generate`] is the grayscale, unbounded shorthand;
+//! [`crate::generate_rgb`] is the color one.
 
 use crate::anneal::anneal_search;
-use crate::config::{Algorithm, Backend, MosaicConfig};
+use crate::config::{Algorithm, Backend, MosaicConfig, Preprocess};
 use crate::errors::{compute_error_matrix_bounded_in, StepTrace};
-use crate::local_search::{local_search_bounded, SearchOutcome};
+use crate::local_search::{local_search_from_bounded, SearchOutcome};
 use crate::optimal::{optimal_rearrangement, sparse_rearrangement};
 use crate::parallel_search::{
     parallel_search_gpu_bounded, parallel_search_reference_bounded,
@@ -16,75 +18,24 @@ use crate::parallel_search::{
 };
 use crate::preprocess::preprocess_gray;
 use crate::report::GenerationReport;
+use crate::GenerateError;
 use mosaic_edgecolor::SwapSchedule;
 use mosaic_gpu::{DeviceSpec, GpuSim, WorkProfile};
-use mosaic_grid::{assemble, BuildError, Deadline, DeadlineExceeded, LayoutError, TileLayout};
-use mosaic_image::GrayImage;
+use mosaic_grid::{assemble, Deadline, DeadlineExceeded, ErrorMatrix, LayoutError, TileLayout};
+use mosaic_image::{Gray, GrayImage, Image, Pixel};
 use mosaic_pool::ThreadPool;
 use mosaic_telemetry as telemetry;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Why a bounded generation run did not produce a mosaic.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum GenerateError {
-    /// The images do not fit the configured layout (the unbounded
-    /// entry points surface exactly this case).
-    Layout(LayoutError),
-    /// The caller's [`Deadline`] expired mid-pipeline.
-    DeadlineExceeded(DeadlineExceeded),
-}
-
-impl From<LayoutError> for GenerateError {
-    fn from(e: LayoutError) -> Self {
-        GenerateError::Layout(e)
-    }
-}
-
-impl From<DeadlineExceeded> for GenerateError {
-    fn from(e: DeadlineExceeded) -> Self {
-        GenerateError::DeadlineExceeded(e)
-    }
-}
-
-impl From<BuildError> for GenerateError {
-    fn from(e: BuildError) -> Self {
-        match e {
-            BuildError::Layout(e) => GenerateError::Layout(e),
-            BuildError::DeadlineExceeded(e) => GenerateError::DeadlineExceeded(e),
-        }
-    }
-}
-
-impl std::fmt::Display for GenerateError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            GenerateError::Layout(e) => write!(f, "layout error: {e:?}"),
-            GenerateError::DeadlineExceeded(e) => e.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for GenerateError {}
-
-/// Unwrap a bounded-generation result produced under [`Deadline::NONE`].
-fn never_exceeded<T>(result: Result<T, GenerateError>) -> Result<T, LayoutError> {
-    match result {
-        Ok(value) => Ok(value),
-        Err(GenerateError::Layout(e)) => Err(e),
-        // lint:allow(panic) callers pass Deadline::NONE, which never expires
-        Err(GenerateError::DeadlineExceeded(_)) => unreachable!("unbounded deadline expired"),
-    }
-}
-
 /// Rearranged image plus full accounting.
 #[derive(Clone, Debug)]
-pub struct MosaicResult {
+pub struct MosaicResult<P: Pixel = Gray> {
     /// The rearranged image `R`.
-    pub image: GrayImage,
+    pub image: Image<P>,
     /// The assignment (`assignment[v] = u`).
     pub assignment: Vec<usize>,
-    /// Timings and totals.
+    /// Timings and totals (error values are channel-summed for color).
     pub report: GenerationReport,
 }
 
@@ -99,180 +50,71 @@ pub fn generate(
     target: &GrayImage,
     config: &MosaicConfig,
 ) -> Result<MosaicResult, LayoutError> {
-    never_exceeded(generate_bounded(input, target, config, &Deadline::NONE))
+    unbounded(input, target, config, preprocess_gray)
 }
 
-/// [`generate`] with cooperative cancellation: `deadline` is polled at
-/// sweep boundaries of the Step-3 searches and at row boundaries of the
-/// threaded Step-2 build, so a pathological job stops within one sweep
-/// (or one row per worker) of the deadline. Step 1 and the
-/// non-interruptible Step-3 solvers (optimal/greedy/sparse/anneal) only
-/// check the deadline before they start.
-///
-/// # Errors
-/// Returns [`GenerateError::Layout`] for the geometry errors of
-/// [`generate`] and [`GenerateError::DeadlineExceeded`] when the deadline
-/// expires mid-run.
-pub fn generate_bounded(
-    input: &GrayImage,
-    target: &GrayImage,
+/// [`generate_in`] on the process-wide pool with no deadline and no
+/// cached matrix — the body of [`generate`] and [`crate::generate_rgb`].
+pub(crate) fn unbounded<P: Pixel>(
+    input: &Image<P>,
+    target: &Image<P>,
     config: &MosaicConfig,
-    deadline: &Deadline,
-) -> Result<MosaicResult, GenerateError> {
-    generate_bounded_in(mosaic_pool::global(), input, target, config, deadline)
-}
-
-/// [`generate_bounded`] with the parallel stages dispatched on an explicit
-/// [`ThreadPool`] instead of the process-wide one (the service hands every
-/// job its per-server pool, sized by `--workers`).
-///
-/// # Errors
-/// Same conditions as [`generate_bounded`].
-pub fn generate_bounded_in(
-    pool: &Arc<ThreadPool>,
-    input: &GrayImage,
-    target: &GrayImage,
-    config: &MosaicConfig,
-    deadline: &Deadline,
-) -> Result<MosaicResult, GenerateError> {
-    generate_impl(pool, input, target, config, None, deadline).map(|(result, _)| result)
-}
-
-/// Like [`generate`], but also return the Step-2 error matrix so callers
-/// can cache and reuse it for identical inputs (see `mosaic-service`).
-///
-/// # Errors
-/// Same conditions as [`generate`].
-pub fn generate_returning_matrix(
-    input: &GrayImage,
-    target: &GrayImage,
-    config: &MosaicConfig,
-) -> Result<(MosaicResult, mosaic_grid::ErrorMatrix), LayoutError> {
-    never_exceeded(generate_returning_matrix_bounded(
-        input,
-        target,
-        config,
-        &Deadline::NONE,
-    ))
-}
-
-/// [`generate_returning_matrix`] with cooperative cancellation (see
-/// [`generate_bounded`] for the polling granularity). On deadline expiry
-/// no matrix is returned — a partially built matrix is never exposed.
-///
-/// # Errors
-/// Same conditions as [`generate_bounded`].
-pub fn generate_returning_matrix_bounded(
-    input: &GrayImage,
-    target: &GrayImage,
-    config: &MosaicConfig,
-    deadline: &Deadline,
-) -> Result<(MosaicResult, mosaic_grid::ErrorMatrix), GenerateError> {
-    generate_returning_matrix_bounded_in(mosaic_pool::global(), input, target, config, deadline)
-}
-
-/// [`generate_returning_matrix_bounded`] on an explicit [`ThreadPool`].
-///
-/// # Errors
-/// Same conditions as [`generate_bounded`].
-pub fn generate_returning_matrix_bounded_in(
-    pool: &Arc<ThreadPool>,
-    input: &GrayImage,
-    target: &GrayImage,
-    config: &MosaicConfig,
-    deadline: &Deadline,
-) -> Result<(MosaicResult, mosaic_grid::ErrorMatrix), GenerateError> {
-    let (result, matrix) = generate_impl(pool, input, target, config, None, deadline)?;
-    Ok((
-        result,
-        // lint:allow(panic) generate_impl returns Some(matrix) whenever its matrix argument is None
-        matrix.expect("the matrix is always computed when none is supplied"),
-    ))
-}
-
-/// Like [`generate`], but reuse a previously computed Step-2 error matrix
-/// instead of recomputing it. Step 1 (preprocessing) still runs because
-/// the prepared image is needed for assembly; the report's `step2_wall`
-/// is zero and its `step2_profile` is empty since no Step-2 work was
-/// performed.
-///
-/// The caller is responsible for supplying a matrix computed from the
-/// *same* `(input, target, grid, preprocess, metric)` tuple — that is the
-/// cache invariant `mosaic-service` maintains via `JobSpec::cache_key`.
-///
-/// # Panics
-/// Panics if `matrix` is not `grid² × grid²` — a matrix of the right size
-/// but wrong content cannot be detected, so a size mismatch is treated as
-/// a caller bug rather than a recoverable error.
-///
-/// # Errors
-/// Same conditions as [`generate`].
-pub fn generate_with_matrix(
-    input: &GrayImage,
-    target: &GrayImage,
-    config: &MosaicConfig,
-    matrix: &mosaic_grid::ErrorMatrix,
-) -> Result<MosaicResult, LayoutError> {
-    never_exceeded(generate_with_matrix_bounded(
-        input,
-        target,
-        config,
-        matrix,
-        &Deadline::NONE,
-    ))
-}
-
-/// [`generate_with_matrix`] with cooperative cancellation (see
-/// [`generate_bounded`] for the polling granularity).
-///
-/// # Panics
-/// Same condition as [`generate_with_matrix`].
-///
-/// # Errors
-/// Same conditions as [`generate_bounded`].
-pub fn generate_with_matrix_bounded(
-    input: &GrayImage,
-    target: &GrayImage,
-    config: &MosaicConfig,
-    matrix: &mosaic_grid::ErrorMatrix,
-    deadline: &Deadline,
-) -> Result<MosaicResult, GenerateError> {
-    generate_with_matrix_bounded_in(
+    preprocess: fn(&Image<P>, &Image<P>, Preprocess) -> Image<P>,
+) -> Result<MosaicResult<P>, LayoutError> {
+    generate_in(
         mosaic_pool::global(),
         input,
         target,
         config,
-        matrix,
-        deadline,
+        preprocess,
+        None,
+        &Deadline::NONE,
     )
+    .map(|(result, _)| result)
+    .map_err(GenerateError::into_layout)
 }
 
-/// [`generate_with_matrix_bounded`] on an explicit [`ThreadPool`].
+/// Run Steps 1–3 on `pool` and return the mosaic together with the
+/// Step-2 error matrix, so callers can cache it for identical inputs
+/// (see `mosaic-service`).
+///
+/// `preprocess` is the Step-1 remap for the pixel type:
+/// [`preprocess_gray`] or [`crate::preprocess::preprocess_rgb`].
+///
+/// With `matrix: Some(arc)` Step 2 is skipped and the same `arc` is
+/// handed back: the report's `step2_wall` is zero and its
+/// `step2_profile` is empty. Step 1 still runs because the prepared
+/// image is needed for assembly. The caller is responsible for supplying
+/// a matrix computed from the *same* `(input, target, grid, preprocess,
+/// metric)` tuple — the cache invariant `mosaic-service` maintains via
+/// `JobSpec::cache_key`. With `None` the matrix is computed on the
+/// configured backend and returned in a fresh [`Arc`].
+///
+/// `deadline` is polled at sweep boundaries of the Step-3 searches and
+/// at row boundaries of the threaded Step-2 build, so a pathological job
+/// stops within one sweep (or one row per worker) of the deadline. Step 1
+/// and the non-interruptible Step-3 solvers (optimal/greedy/sparse/anneal)
+/// only check the deadline before they start. On expiry no matrix is
+/// returned — a partially built matrix is never exposed.
 ///
 /// # Panics
-/// Same condition as [`generate_with_matrix`].
+/// Panics if a supplied `matrix` is not `grid² × grid²` — a matrix of the
+/// right size but wrong content cannot be detected, so a size mismatch is
+/// treated as a caller bug rather than a recoverable error.
 ///
 /// # Errors
-/// Same conditions as [`generate_bounded`].
-pub fn generate_with_matrix_bounded_in(
+/// Returns [`GenerateError::Layout`] for the geometry errors of
+/// [`generate`] (checked before the deadline) and
+/// [`GenerateError::DeadlineExceeded`] when the deadline expires.
+pub fn generate_in<P: Pixel>(
     pool: &Arc<ThreadPool>,
-    input: &GrayImage,
-    target: &GrayImage,
+    input: &Image<P>,
+    target: &Image<P>,
     config: &MosaicConfig,
-    matrix: &mosaic_grid::ErrorMatrix,
+    preprocess: fn(&Image<P>, &Image<P>, Preprocess) -> Image<P>,
+    matrix: Option<Arc<ErrorMatrix>>,
     deadline: &Deadline,
-) -> Result<MosaicResult, GenerateError> {
-    generate_impl(pool, input, target, config, Some(matrix), deadline).map(|(result, _)| result)
-}
-
-fn generate_impl(
-    pool: &Arc<ThreadPool>,
-    input: &GrayImage,
-    target: &GrayImage,
-    config: &MosaicConfig,
-    cached_matrix: Option<&mosaic_grid::ErrorMatrix>,
-    deadline: &Deadline,
-) -> Result<(MosaicResult, Option<mosaic_grid::ErrorMatrix>), GenerateError> {
+) -> Result<(MosaicResult<P>, Arc<ErrorMatrix>), GenerateError> {
     let (w, h) = target.dimensions();
     if w != h {
         return Err(GenerateError::Layout(LayoutError::NotSquare {
@@ -291,15 +133,14 @@ fn generate_impl(
     let t1 = Instant::now();
     let prepared = {
         let _span = telemetry::tracer().span("step1");
-        preprocess_gray(input, target, config.preprocess)
+        preprocess(input, target, config.preprocess)
     };
     let step1_wall = t1.elapsed();
 
     // Step 2: the S x S error matrix (skipped when a cached one is
     // supplied).
     let step2_span = telemetry::tracer().span("step2");
-    let mut computed = None;
-    let (matrix, step2_trace): (&mosaic_grid::ErrorMatrix, StepTrace) = match cached_matrix {
+    let (matrix, step2_trace) = match matrix {
         Some(m) => {
             assert_eq!(
                 m.size(),
@@ -320,7 +161,7 @@ fn generate_impl(
                 config.backend,
                 deadline,
             )?;
-            (computed.insert(m), trace)
+            (Arc::new(m), trace)
         }
     };
     drop(step2_span);
@@ -329,7 +170,7 @@ fn generate_impl(
     let t3 = Instant::now();
     let (outcome, step3_profile) = {
         let _span = telemetry::tracer().span("step3");
-        run_step3(pool, matrix, config, deadline)?
+        run_step3(pool, &matrix, config, deadline)?
     };
     let step3_wall = t3.elapsed();
 
@@ -372,13 +213,13 @@ fn generate_impl(
             assignment: outcome.assignment,
             report,
         },
-        computed,
+        matrix,
     ))
 }
 
 fn run_step3(
     pool: &Arc<ThreadPool>,
-    matrix: &mosaic_grid::ErrorMatrix,
+    matrix: &ErrorMatrix,
     config: &MosaicConfig,
     deadline: &Deadline,
 ) -> Result<(SearchOutcome, WorkProfile), DeadlineExceeded> {
@@ -407,7 +248,7 @@ fn run_step3(
             (sparse_rearrangement(matrix, k), WorkProfile::default())
         }
         Algorithm::LocalSearch => {
-            let outcome = local_search_bounded(matrix, deadline)?;
+            let outcome = local_search_from_bounded(matrix, (0..s).collect(), deadline)?;
             // Algorithm 1 is the sequential baseline; profile it as pure
             // host work (no launches).
             let profile = step3_parallel_profile(s, outcome.sweeps, 0);
@@ -583,6 +424,25 @@ mod tests {
         assert!(!r.summary().is_empty());
     }
 
+    /// [`generate_in`] on a grayscale pair and the process-wide pool.
+    fn generate_gray(
+        input: &GrayImage,
+        target: &GrayImage,
+        config: &MosaicConfig,
+        matrix: Option<Arc<ErrorMatrix>>,
+        deadline: &Deadline,
+    ) -> Result<(MosaicResult, Arc<ErrorMatrix>), GenerateError> {
+        generate_in(
+            mosaic_pool::global(),
+            input,
+            target,
+            config,
+            preprocess_gray,
+            matrix,
+            deadline,
+        )
+    }
+
     #[test]
     fn cached_matrix_reproduces_the_uncached_result() {
         let (input, target) = pair(64);
@@ -595,8 +455,10 @@ mod tests {
                 .algorithm(algorithm)
                 .backend(Backend::Serial)
                 .build();
-            let (fresh, matrix) = generate_returning_matrix(&input, &target, &config).unwrap();
-            let cached = generate_with_matrix(&input, &target, &config, &matrix).unwrap();
+            let (fresh, matrix) =
+                generate_gray(&input, &target, &config, None, &Deadline::NONE).unwrap();
+            let (cached, _) =
+                generate_gray(&input, &target, &config, Some(matrix), &Deadline::NONE).unwrap();
             assert_eq!(cached.image, fresh.image);
             assert_eq!(cached.assignment, fresh.assignment);
             assert_eq!(cached.report.total_error, fresh.report.total_error);
@@ -607,12 +469,23 @@ mod tests {
     }
 
     #[test]
+    fn cache_hit_hands_back_the_callers_matrix() {
+        let (input, target) = pair(32);
+        let config = base_config(4);
+        let (_, computed) = generate_gray(&input, &target, &config, None, &Deadline::NONE).unwrap();
+        let arc = Arc::clone(&computed);
+        let (_, returned) =
+            generate_gray(&input, &target, &config, Some(arc), &Deadline::NONE).unwrap();
+        assert!(Arc::ptr_eq(&computed, &returned), "a hit must not copy");
+    }
+
+    #[test]
     #[should_panic(expected = "cached error matrix")]
     fn wrong_sized_cached_matrix_panics() {
         let (input, target) = pair(64);
         let config = base_config(8);
-        let small = mosaic_grid::ErrorMatrix::from_vec(4, vec![0; 16]);
-        let _ = generate_with_matrix(&input, &target, &config, &small);
+        let small = Arc::new(ErrorMatrix::from_vec(4, vec![0; 16]));
+        let _ = generate_gray(&input, &target, &config, Some(small), &Deadline::NONE);
     }
 
     #[test]
@@ -625,7 +498,7 @@ mod tests {
             .build();
         let deadline = Deadline::after(std::time::Duration::from_secs(3600));
         let plain = generate(&input, &target, &config).unwrap();
-        let bounded = generate_bounded(&input, &target, &config, &deadline).unwrap();
+        let (bounded, _) = generate_gray(&input, &target, &config, None, &deadline).unwrap();
         assert_eq!(plain.image, bounded.image);
         assert_eq!(plain.assignment, bounded.assignment);
     }
@@ -647,7 +520,7 @@ mod tests {
                 .algorithm(algorithm)
                 .backend(Backend::Serial)
                 .build();
-            let result = generate_bounded(&input, &target, &config, &expired);
+            let result = generate_gray(&input, &target, &config, None, &expired);
             assert!(
                 matches!(result, Err(GenerateError::DeadlineExceeded(_))),
                 "algorithm {:?} ignored the deadline",
@@ -664,7 +537,7 @@ mod tests {
         let bigger = synth::gradient(64);
         let expired = Deadline::after(std::time::Duration::ZERO);
         let config = base_config(4);
-        let result = generate_bounded(&square, &bigger, &config, &expired);
+        let result = generate_gray(&square, &bigger, &config, None, &expired);
         assert!(matches!(result, Err(GenerateError::Layout(_))));
     }
 
@@ -673,7 +546,7 @@ mod tests {
         let (input, target) = pair(64);
         let config = base_config(8);
         let expired = Deadline::after(std::time::Duration::ZERO);
-        let result = generate_returning_matrix_bounded(&input, &target, &config, &expired);
+        let result = generate_gray(&input, &target, &config, None, &expired);
         assert!(matches!(result, Err(GenerateError::DeadlineExceeded(_))));
     }
 

@@ -3,36 +3,20 @@
 //!
 //! "We can easily extend the proposed photomosaic method to deal with
 //! color images only by changing the error function in Eq. (1)." Every
-//! substrate is generic over the pixel type, so this module is the same
-//! three steps as [`crate::pipeline`] instantiated at [`Rgb`]: per-channel
+//! substrate is generic over the pixel type, so this module is
+//! [`crate::pipeline::generate_in`] instantiated at [`Rgb`]: per-channel
 //! histogram specification, the channel-summed error metric, the same
 //! solvers and searches on the resulting matrix.
 
-use crate::config::{Algorithm, Backend, MosaicConfig};
-use crate::errors::compute_error_matrix;
-use crate::local_search::{local_search, SearchOutcome};
-use crate::optimal::{optimal_rearrangement, sparse_rearrangement};
-use crate::parallel_search::{
-    parallel_search_gpu, parallel_search_reference, parallel_search_threads,
-};
+use crate::config::MosaicConfig;
+use crate::pipeline::{unbounded, MosaicResult};
 use crate::preprocess::preprocess_rgb;
-use crate::report::GenerationReport;
-use mosaic_edgecolor::SwapSchedule;
-use mosaic_gpu::{DeviceSpec, GpuSim, WorkProfile};
-use mosaic_grid::{assemble, LayoutError, TileLayout};
-use mosaic_image::RgbImage;
-use std::time::Instant;
+use mosaic_grid::LayoutError;
+use mosaic_image::{Rgb, RgbImage};
 
-/// Rearranged RGB image plus accounting.
-#[derive(Clone, Debug)]
-pub struct RgbMosaicResult {
-    /// The rearranged image `R`.
-    pub image: RgbImage,
-    /// The assignment (`assignment[v] = u`).
-    pub assignment: Vec<usize>,
-    /// Timings and totals (error values are channel-summed SAD).
-    pub report: GenerationReport,
-}
+/// Rearranged RGB image plus accounting (error values are channel-summed
+/// SAD).
+pub type RgbMosaicResult = MosaicResult<Rgb>;
 
 /// Generate a color photomosaic. Identical configuration surface to
 /// [`crate::generate`].
@@ -45,79 +29,16 @@ pub fn generate_rgb(
     target: &RgbImage,
     config: &MosaicConfig,
 ) -> Result<RgbMosaicResult, LayoutError> {
-    let (w, h) = target.dimensions();
-    if w != h {
-        return Err(LayoutError::NotSquare {
-            width: w,
-            height: h,
-        });
-    }
-    let layout = TileLayout::with_grid(w, config.grid)?;
-    layout.check_image(input)?;
-    layout.check_image(target)?;
-
-    let t1 = Instant::now();
-    let prepared = preprocess_rgb(input, target, config.preprocess);
-    let step1_wall = t1.elapsed();
-
-    let (matrix, step2_trace) =
-        compute_error_matrix(&prepared, target, layout, config.metric, config.backend)?;
-
-    let t3 = Instant::now();
-    let outcome: SearchOutcome = match config.algorithm {
-        Algorithm::Optimal(solver) => optimal_rearrangement(&matrix, solver),
-        Algorithm::Greedy => optimal_rearrangement(&matrix, mosaic_assign::SolverKind::Greedy),
-        Algorithm::SparseMatch { k } => sparse_rearrangement(&matrix, k),
-        Algorithm::LocalSearch => local_search(&matrix),
-        Algorithm::ParallelSearch => {
-            let schedule = SwapSchedule::for_tiles(matrix.size());
-            match config.backend {
-                Backend::Serial => parallel_search_reference(&matrix, &schedule).outcome,
-                Backend::Threads(t) => {
-                    parallel_search_threads(&matrix, &schedule, t.max(1)).outcome
-                }
-                Backend::GpuSim { workers } => {
-                    let sim = match workers {
-                        Some(w) => GpuSim::with_workers(DeviceSpec::tesla_k40(), w),
-                        None => GpuSim::new(DeviceSpec::tesla_k40()),
-                    };
-                    parallel_search_gpu(&sim, &matrix, &schedule).outcome
-                }
-            }
-        }
-        Algorithm::Anneal { seed, sweeps } => crate::anneal::anneal_search(&matrix, seed, sweeps),
-    };
-    let step3_wall = t3.elapsed();
-
-    let image = assemble(&prepared, layout, &outcome.assignment)?;
-    let report = GenerationReport {
-        config: config.clone(),
-        image_size: w,
-        tile_count: layout.tile_count(),
-        tile_size: layout.tile_size(),
-        total_error: outcome.total,
-        sweeps: outcome.sweeps,
-        swaps: outcome.swaps,
-        step1_wall,
-        step2_wall: step2_trace.wall,
-        step3_wall,
-        step2_profile: step2_trace.profile,
-        step3_profile: WorkProfile::default(),
-    };
-    Ok(RgbMosaicResult {
-        image,
-        assignment: outcome.assignment,
-        report,
-    })
+    unbounded(input, target, config, preprocess_rgb)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::MosaicBuilder;
+    use crate::config::{Algorithm, Backend, MosaicBuilder};
     use mosaic_assign::SolverKind;
+    use mosaic_image::metrics;
     use mosaic_image::synth::{tint, Scene};
-    use mosaic_image::{metrics, Rgb};
 
     fn pair(n: usize) -> (RgbImage, RgbImage) {
         let input = tint(
@@ -188,6 +109,20 @@ mod tests {
         let c = generate_rgb(&input, &target, &mk(Backend::GpuSim { workers: Some(2) })).unwrap();
         assert_eq!(a.image, b.image);
         assert_eq!(a.image, c.image);
+    }
+
+    #[test]
+    fn rgb_parallel_search_reports_its_step3_profile() {
+        let (input, target) = pair(32);
+        let config = MosaicBuilder::new()
+            .grid(4)
+            .algorithm(Algorithm::ParallelSearch)
+            .backend(Backend::Serial)
+            .build();
+        let result = generate_rgb(&input, &target, &config).unwrap();
+        let profile = &result.report.step3_profile;
+        assert!(profile.launches > 0, "{profile:?}");
+        assert!(profile.ops > 0, "{profile:?}");
     }
 
     #[test]

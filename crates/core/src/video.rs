@@ -2,21 +2,17 @@
 //! paper's GPU work (§III cites interactive [16] and real-time video
 //! photomosaic systems [17][18]).
 //!
-//! A [`VideoMosaicSession`] fixes the input image and grid once, then
-//! generates a mosaic per target frame while reusing everything reusable:
-//!
-//! * the edge-coloring [`SwapSchedule`] ("we assume that the number of
-//!   tiles S is fixed and edge groups … are computed in advance" — §IV-B);
-//! * the simulated device instance;
-//! * the previous frame's assignment as the local search's warm start —
-//!   consecutive frames are similar, so far fewer sweeps are needed than
-//!   from the identity arrangement.
+//! A [`VideoMosaicSession`] validates the input image and grid once, then
+//! generates a mosaic per target frame. What it carries between frames is
+//! the previous frame's assignment, used as Algorithm 1's warm start —
+//! consecutive frames are similar, so far fewer sweeps are needed than
+//! from the identity arrangement. Step 3 is always that serial descent,
+//! so the session builds no edge-coloring swap schedule.
 
 use crate::config::{Backend, Preprocess};
 use crate::errors::compute_error_matrix;
 use crate::local_search::{local_search_from, SearchOutcome};
 use crate::preprocess::preprocess_gray;
-use mosaic_edgecolor::SwapSchedule;
 use mosaic_grid::{assemble, LayoutError, TileLayout, TileMetric};
 use mosaic_image::GrayImage;
 use std::time::{Duration, Instant};
@@ -44,7 +40,6 @@ pub struct VideoMosaicSession {
     metric: TileMetric,
     backend: Backend,
     preprocess: Preprocess,
-    schedule: SwapSchedule,
     previous: Option<Vec<usize>>,
     frames: usize,
 }
@@ -76,22 +71,15 @@ impl VideoMosaicSession {
         }
         let layout = TileLayout::with_grid(w, grid)?;
         layout.check_image(&input)?;
-        let schedule = SwapSchedule::for_tiles(layout.tile_count());
         Ok(VideoMosaicSession {
             input,
             layout,
             metric,
             backend,
             preprocess,
-            schedule,
             previous: None,
             frames: 0,
         })
-    }
-
-    /// The precomputed swap schedule (exposed for inspection/tests).
-    pub fn schedule(&self) -> &SwapSchedule {
-        &self.schedule
     }
 
     /// Number of frames generated so far.
@@ -174,7 +162,6 @@ mod tests {
         )
         .is_err());
         let ok = session(32, 4);
-        assert_eq!(ok.schedule().tiles(), 16);
         assert_eq!(ok.frames_generated(), 0);
     }
 

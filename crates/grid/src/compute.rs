@@ -35,13 +35,27 @@ pub fn init_simd_kernels() -> mosaic_image::kernel::SimdLevel {
     level
 }
 
-/// Why a bounded matrix build did not produce a matrix.
+/// Why a bounded run did not finish: a matrix build here, or the whole
+/// pipeline above this crate (re-exported there as `GenerateError`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum BuildError {
     /// One of the images does not match the layout.
     Layout(LayoutError),
-    /// The deadline expired before the build finished.
+    /// The deadline expired before the run finished.
     DeadlineExceeded(DeadlineExceeded),
+}
+
+impl BuildError {
+    /// The layout error of a run made under [`Deadline::NONE`], which
+    /// never expires — how the unbounded entry points unwrap their
+    /// bounded bodies.
+    pub fn into_layout(self) -> LayoutError {
+        match self {
+            BuildError::Layout(e) => e,
+            // lint:allow(panic) callers pass Deadline::NONE, which never expires
+            BuildError::DeadlineExceeded(_) => unreachable!("unbounded deadline expired"),
+        }
+    }
 }
 
 impl From<LayoutError> for BuildError {
@@ -162,22 +176,21 @@ pub fn build_error_matrix_threaded<P: Pixel>(
     metric: TileMetric,
     threads: usize,
 ) -> Result<ErrorMatrix, LayoutError> {
-    match build_error_matrix_threaded_bounded(
+    build_error_matrix_threaded_bounded_in(
+        mosaic_pool::global(),
         input,
         target,
         layout,
         metric,
         threads,
         &Deadline::NONE,
-    ) {
-        Ok(matrix) => Ok(matrix),
-        Err(BuildError::Layout(e)) => Err(e),
-        // lint:allow(panic) Deadline::NONE can never be exceeded
-        Err(BuildError::DeadlineExceeded(_)) => unreachable!("unbounded deadline expired"),
-    }
+    )
+    .map_err(BuildError::into_layout)
 }
 
-/// [`build_error_matrix_threaded`] with cooperative cancellation.
+/// [`build_error_matrix_threaded`] with cooperative cancellation,
+/// dispatching on an explicit [`ThreadPool`] (the service hands every
+/// job its per-server pool).
 ///
 /// Workers poll `deadline` at every row boundary and stop early once it
 /// expires; the partially filled matrix is discarded and
@@ -188,34 +201,6 @@ pub fn build_error_matrix_threaded<P: Pixel>(
 /// Returns [`BuildError::Layout`] when either image does not match
 /// `layout`, and [`BuildError::DeadlineExceeded`] when `deadline` expires
 /// mid-build.
-///
-/// # Panics
-/// Panics when `threads == 0`.
-pub fn build_error_matrix_threaded_bounded<P: Pixel>(
-    input: &Image<P>,
-    target: &Image<P>,
-    layout: TileLayout,
-    metric: TileMetric,
-    threads: usize,
-    deadline: &Deadline,
-) -> Result<ErrorMatrix, BuildError> {
-    build_error_matrix_threaded_bounded_in(
-        mosaic_pool::global(),
-        input,
-        target,
-        layout,
-        metric,
-        threads,
-        deadline,
-    )
-}
-
-/// [`build_error_matrix_threaded_bounded`] dispatching on an explicit
-/// [`ThreadPool`] instead of the process-wide one (the service hands
-/// every job its per-server pool).
-///
-/// # Errors
-/// See [`build_error_matrix_threaded_bounded`].
 ///
 /// # Panics
 /// Panics when `threads == 0`.
@@ -398,7 +383,8 @@ mod tests {
         let layout = TileLayout::new(48, 8).unwrap();
         let serial = build_error_matrix(&input, &target, layout, TileMetric::Sad).unwrap();
         let deadline = Deadline::after(std::time::Duration::from_secs(3600));
-        let bounded = build_error_matrix_threaded_bounded(
+        let bounded = build_error_matrix_threaded_bounded_in(
+            mosaic_pool::global(),
             &input,
             &target,
             layout,
@@ -416,7 +402,8 @@ mod tests {
         let target = synth::drapery(48, 9);
         let layout = TileLayout::new(48, 8).unwrap();
         let expired = Deadline::after(std::time::Duration::ZERO);
-        let result = build_error_matrix_threaded_bounded(
+        let result = build_error_matrix_threaded_bounded_in(
+            mosaic_pool::global(),
             &input,
             &target,
             layout,
@@ -438,7 +425,8 @@ mod tests {
         let target = synth::gradient(64);
         let layout = TileLayout::new(32, 8).unwrap();
         let expired = Deadline::after(std::time::Duration::ZERO);
-        let result = build_error_matrix_threaded_bounded(
+        let result = build_error_matrix_threaded_bounded_in(
+            mosaic_pool::global(),
             &input,
             &target,
             layout,

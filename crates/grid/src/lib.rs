@@ -51,8 +51,7 @@ pub mod metric;
 pub use assemble::assemble;
 pub use compute::{
     build_error_matrix, build_error_matrix_scalar, build_error_matrix_threaded,
-    build_error_matrix_threaded_bounded, build_error_matrix_threaded_bounded_in, init_simd_kernels,
-    BuildError,
+    build_error_matrix_threaded_bounded_in, init_simd_kernels, BuildError,
 };
 pub use deadline::{Deadline, DeadlineExceeded};
 pub use layout::{LayoutError, TileLayout};

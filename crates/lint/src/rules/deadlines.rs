@@ -6,14 +6,16 @@
 //!
 //! Checks, in order of severity:
 //! * a `*_bounded` function with no `Deadline` parameter (deny);
-//! * a call to a `*_bounded` callee that does not pass the caller's
+//! * a call to a `*_bounded` callee, or to any callee that resolves to a
+//!   workspace function with a `Deadline` parameter (so `generate_in` is
+//!   covered without the suffix), that does not pass the caller's
 //!   deadline parameter — the deadline is dropped (deny);
 //! * a `Deadline` parameter never referenced in the body (deny);
 //! * a `Deadline`-taking function whose loops never poll it (warn) —
 //!   row/sweep loops are where a bound must be observable.
 
 use crate::model::{Finding, Rule};
-use crate::semantic::{FnDef, Model};
+use crate::semantic::{CallSite, FnDef, Model};
 
 /// Does this function name promise a bound? (The helper itself avoids
 /// the naming convention it enforces.)
@@ -23,7 +25,7 @@ fn promises_deadline(name: &str) -> bool {
 
 /// Run the rule over the prebuilt semantic model.
 pub fn check(model: &Model<'_>, findings: &mut Vec<Finding>) {
-    for f in &model.fns {
+    for (index, f) in model.fns.iter().enumerate() {
         let file = model.file_of(f);
         let fn_line = file.line_of(f.name_at);
 
@@ -62,7 +64,7 @@ pub fn check(model: &Model<'_>, findings: &mut Vec<Finding>) {
         }
 
         for call in &f.calls {
-            if !promises_deadline(&call.name) {
+            if !promises_deadline(&call.name) && !takes_deadline(model, call, index) {
                 continue;
             }
             if word_in(&call.args, param) {
@@ -100,6 +102,14 @@ pub fn check(model: &Model<'_>, findings: &mut Vec<Finding>) {
             }
         }
     }
+}
+
+/// Does `call` (made from `fns[from]`) resolve to a workspace function
+/// that takes a `Deadline`?
+fn takes_deadline(model: &Model<'_>, call: &CallSite, from: usize) -> bool {
+    model
+        .resolve(call, from)
+        .is_some_and(|callee| model.fns[callee].deadline_param.is_some())
 }
 
 /// Byte offsets of every live-code reference to `param` inside the body.
@@ -184,6 +194,22 @@ mod tests {
         assert_eq!(drop.line, 3);
         assert!(drop.message.contains("inner_bounded"));
         assert_eq!(findings.len(), 2, "{findings:?}");
+    }
+
+    #[test]
+    fn dropping_the_deadline_at_an_unsuffixed_callee_is_flagged() {
+        let text = "pub fn outer_bounded(cfg: &Config, deadline: &Deadline) -> R {\n\
+                    \x20   deadline.check()?;\n\
+                    \x20   generate_in(cfg, &Deadline::NONE)\n\
+                    }\n\
+                    pub fn generate_in(cfg: &Config, deadline: &Deadline) -> R {\n\
+                    \x20   deadline.check()\n\
+                    }\n";
+        let findings = findings_for(text);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].line, 3);
+        assert!(findings[0].message.contains("drops the deadline"));
+        assert!(findings[0].message.contains("generate_in"));
     }
 
     #[test]

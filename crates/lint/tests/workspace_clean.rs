@@ -68,14 +68,14 @@ fn the_semantic_model_sees_the_real_workspace() {
     ] {
         assert!(locks.contains(expected), "missing {expected} in {locks:?}");
     }
-    // Deadline threading is visible: bounded pipeline entry points carry
-    // their parameter.
+    // Deadline threading is visible: the pipeline entry point carries
+    // its parameter.
     assert!(
         model
             .fns
             .iter()
-            .any(|f| f.name == "generate_bounded" && f.deadline_param.is_some()),
-        "generate_bounded's Deadline parameter should be modeled"
+            .any(|f| f.name == "generate_in" && f.deadline_param.is_some()),
+        "generate_in's Deadline parameter should be modeled"
     );
 }
 

@@ -16,60 +16,48 @@ run cargo test -q --offline
 run cargo fmt --check
 run cargo clippy --offline --all-targets -- -D warnings
 
+# gate LABEL FLOOR cargo ... — run one test suite, show its `test result:`
+# lines, and fail unless their passed counts sum to at least FLOOR, so a
+# renamed or filtered-out suite cannot pass vacuously. The suite's output
+# stays in $gate_out for extra checks.
+gate() {
+    gate_label=$1
+    gate_floor=$2
+    shift 2
+    echo "==> $*"
+    gate_out=$("$@" 2>&1) || {
+        echo "$gate_out"
+        exit 1
+    }
+    echo "$gate_out" | grep '^test result:'
+    gate_passed=$(echo "$gate_out" | grep '^test result:' |
+        sed -n 's/.* \([0-9][0-9]*\) passed.*/\1/p' | awk '{n += $1} END {print n + 0}')
+    if [ "$gate_passed" -lt "$gate_floor" ]; then
+        echo "error: expected at least $gate_floor $gate_label, ran $gate_passed" >&2
+        exit 1
+    fi
+}
+
 # The telemetry crate's API examples are doctests; make sure they
 # actually run (a crate-level cfg or harness slip that ignores them
 # would otherwise pass silently).
-echo "==> cargo test --offline -p mosaic-telemetry --doc (no skips)"
-doc_out=$(cargo test --offline -p mosaic-telemetry --doc 2>&1) || {
-    echo "$doc_out"
-    exit 1
-}
-doc_summary=$(echo "$doc_out" | grep '^test result:' | tail -1)
-echo "$doc_summary"
-doc_passed=$(echo "$doc_summary" | sed -n 's/.* \([0-9][0-9]*\) passed.*/\1/p')
-doc_ignored=$(echo "$doc_summary" | sed -n 's/.* \([0-9][0-9]*\) ignored.*/\1/p')
-if [ "${doc_passed:-0}" -eq 0 ]; then
-    echo "error: no mosaic-telemetry doctests ran" >&2
-    exit 1
-fi
-if [ "${doc_ignored:-0}" -ne 0 ]; then
+gate "mosaic-telemetry doctests" 1 cargo test --offline -p mosaic-telemetry --doc
+doc_ignored=$(echo "$gate_out" | grep '^test result:' |
+    sed -n 's/.* \([0-9][0-9]*\) ignored.*/\1/p' | awk '{n += $1} END {print n + 0}')
+if [ "$doc_ignored" -ne 0 ]; then
     echo "error: $doc_ignored mosaic-telemetry doctest(s) skipped" >&2
     exit 1
 fi
 
 # Fault-injection suite: the hardening layer must hold up against
 # scripted hostile clients (oversized frames, slowloris, floods,
-# mid-frame disconnects, stalled workers). A hard gate with a passed
-# count so a renamed or filtered-out suite cannot pass vacuously.
-echo "==> cargo test -q --offline --test service_integration fault_"
-fault_out=$(cargo test -q --offline --test service_integration fault_ 2>&1) || {
-    echo "$fault_out"
-    exit 1
-}
-fault_summary=$(echo "$fault_out" | grep '^test result:' | tail -1)
-echo "$fault_summary"
-fault_passed=$(echo "$fault_summary" | sed -n 's/.* \([0-9][0-9]*\) passed.*/\1/p')
-if [ "${fault_passed:-0}" -lt 5 ]; then
-    echo "error: expected at least 5 fault-injection tests, ran ${fault_passed:-0}" >&2
-    exit 1
-fi
+# mid-frame disconnects, stalled workers).
+gate "fault-injection tests" 5 cargo test -q --offline --test service_integration fault_
 
 # Front-end differential suite: the event-driven epoll front-end must
 # stay byte-identical to the threaded oracle across the fault scripts,
-# and must hold the 1000-idle-connection soak. Same passed-count
-# protection against a renamed or filtered-out suite.
-echo "==> cargo test -q --offline --test frontend_differential"
-frontend_out=$(cargo test -q --offline --test frontend_differential 2>&1) || {
-    echo "$frontend_out"
-    exit 1
-}
-frontend_summary=$(echo "$frontend_out" | grep '^test result:' | tail -1)
-echo "$frontend_summary"
-frontend_passed=$(echo "$frontend_summary" | sed -n 's/.* \([0-9][0-9]*\) passed.*/\1/p')
-if [ "${frontend_passed:-0}" -lt 5 ]; then
-    echo "error: expected at least 5 front-end differential tests, ran ${frontend_passed:-0}" >&2
-    exit 1
-fi
+# and must hold the 1000-idle-connection soak.
+gate "front-end differential tests" 5 cargo test -q --offline --test frontend_differential
 
 # The front-end's telemetry names must be promised to dashboards: both
 # must appear in the DESIGN.md §9 paper-quantity table (the lint checks
@@ -83,84 +71,24 @@ done
 echo "==> DESIGN.md §9 documents both front-end telemetry names"
 
 # Fleet fault suite: the gateway must survive backend death mid-job,
-# floods, and whole-fleet outages with typed refusals. Same passed-count
-# protection as the service fault gate.
-echo "==> cargo test -q --offline --test gateway_fleet fault_"
-fleet_out=$(cargo test -q --offline --test gateway_fleet fault_ 2>&1) || {
-    echo "$fleet_out"
-    exit 1
-}
-fleet_summary=$(echo "$fleet_out" | grep '^test result:' | tail -1)
-echo "$fleet_summary"
-fleet_passed=$(echo "$fleet_summary" | sed -n 's/.* \([0-9][0-9]*\) passed.*/\1/p')
-if [ "${fleet_passed:-0}" -lt 3 ]; then
-    echo "error: expected at least 3 fleet fault tests, ran ${fleet_passed:-0}" >&2
-    exit 1
-fi
+# floods, and whole-fleet outages with typed refusals.
+gate "fleet fault tests" 3 cargo test -q --offline --test gateway_fleet fault_
 
 # Pool stress suite: the persistent worker pool underpins every
-# parallel stage, so its shutdown/panic/raggedness invariants get the
-# same vacuous-pass protection as the fault suite — a passed count, not
-# just a green exit.
-echo "==> cargo test -q --offline -p mosaic-pool --test stress"
-stress_out=$(cargo test -q --offline -p mosaic-pool --test stress 2>&1) || {
-    echo "$stress_out"
-    exit 1
-}
-stress_summary=$(echo "$stress_out" | grep '^test result:' | tail -1)
-echo "$stress_summary"
-stress_passed=$(echo "$stress_summary" | sed -n 's/.* \([0-9][0-9]*\) passed.*/\1/p')
-if [ "${stress_passed:-0}" -lt 6 ]; then
-    echo "error: expected at least 6 pool stress tests, ran ${stress_passed:-0}" >&2
-    exit 1
-fi
+# parallel stage, so its shutdown/panic/raggedness invariants are gated
+# on a passed count, not just a green exit.
+gate "pool stress tests" 6 cargo test -q --offline -p mosaic-pool --test stress
 
 # Tile-library suite: the content-addressed store, clustering, pruning
 # and rectangular sparse solve carry the `library` job kind end to end,
-# so both the crate's own tests and the thousand-tile acceptance
-# workload get passed-count floors against vacuous green runs.
-echo "==> cargo test -q --offline -p mosaic-tilelib"
-tilelib_out=$(cargo test -q --offline -p mosaic-tilelib 2>&1) || {
-    echo "$tilelib_out"
-    exit 1
-}
-echo "$tilelib_out" | grep '^test result:'
-tilelib_passed=$(echo "$tilelib_out" | grep '^test result:' |
-    sed -n 's/.* \([0-9][0-9]*\) passed.*/\1/p' | awk '{n += $1} END {print n}')
-if [ "${tilelib_passed:-0}" -lt 30 ]; then
-    echo "error: expected at least 30 tilelib tests, ran ${tilelib_passed:-0}" >&2
-    exit 1
-fi
-
-echo "==> cargo test -q --offline --test tilelib_library"
-library_out=$(cargo test -q --offline --test tilelib_library 2>&1) || {
-    echo "$library_out"
-    exit 1
-}
-library_summary=$(echo "$library_out" | grep '^test result:' | tail -1)
-echo "$library_summary"
-library_passed=$(echo "$library_summary" | sed -n 's/.* \([0-9][0-9]*\) passed.*/\1/p')
-if [ "${library_passed:-0}" -lt 1 ]; then
-    echo "error: the thousand-tile library acceptance test did not run" >&2
-    exit 1
-fi
+# so both the crate's own tests (summed over its test binaries) and the
+# thousand-tile acceptance workload get passed-count floors.
+gate "tilelib tests" 30 cargo test -q --offline -p mosaic-tilelib
+gate "thousand-tile library acceptance tests" 1 cargo test -q --offline --test tilelib_library
 
 # SIMD differential suite: the dispatched SAD/SSD kernels must stay
-# bit-identical to the scalar oracle on every tile-edge length. A hard
-# gate with a passed count so a renamed or filtered-out suite cannot
-# pass vacuously.
-echo "==> cargo test -q --offline -p mosaic-image --test simd_differential"
-simd_out=$(cargo test -q --offline -p mosaic-image --test simd_differential 2>&1) || {
-    echo "$simd_out"
-    exit 1
-}
-simd_summary=$(echo "$simd_out" | grep '^test result:' | tail -1)
-echo "$simd_summary"
-simd_passed=$(echo "$simd_summary" | sed -n 's/.* \([0-9][0-9]*\) passed.*/\1/p')
-if [ "${simd_passed:-0}" -lt 5 ]; then
-    echo "error: expected at least 5 SIMD differential tests, ran ${simd_passed:-0}" >&2
-    exit 1
-fi
+# bit-identical to the scalar oracle on every tile-edge length.
+gate "SIMD differential tests" 5 cargo test -q --offline -p mosaic-image --test simd_differential
 
 # Published benchmark artifacts: the committed root BENCH_search.json
 # must exist and hold the pool-vs-scoped comparison (parsed with the
