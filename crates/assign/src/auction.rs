@@ -56,7 +56,8 @@ pub fn solve_auction(cost: &CostMatrix, scaling_factor: i64) -> Vec<usize> {
     let scale = (n + 1) as i64;
     let c_max = i64::from(cost.max_entry());
     // benefit[i][j] = (C_max - cost[i][j]) * (n+1), all >= 0.
-    let benefit = |i: usize, j: usize| -> i64 { (c_max - i64::from(cost.get(i, j))) * scale };
+    let entries = cost.as_slice();
+    let benefit = |i: usize, j: usize| -> i64 { (c_max - i64::from(entries[i * n + j])) * scale };
 
     let mut price = vec![0i64; n];
     let mut row_to_col = vec![UNASSIGNED; n];

@@ -1,5 +1,6 @@
 //! Dense cost matrix for assignment problems.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// Row-major dense `n × n` cost matrix with `u32` entries.
@@ -7,26 +8,25 @@ use std::fmt;
 /// Rows are "workers" (input tiles `I_u`), columns are "jobs" (target
 /// positions `T_v`); entry `(u, v)` is the paper's edge weight
 /// `w_{u,v} = E(I_u, T_v)`.
+///
+/// The entries are either owned ([`CostMatrix::from_vec`],
+/// [`CostMatrix::from_fn`]) or borrowed from a row-major buffer that
+/// already exists ([`CostMatrix::borrowed`]), so a caller holding the
+/// Step-2 error matrix solves it where it lies instead of copying S²
+/// entries first.
 #[derive(Clone, PartialEq, Eq)]
-pub struct CostMatrix {
+pub struct CostMatrix<'a> {
     n: usize,
-    data: Vec<u32>,
+    data: Cow<'a, [u32]>,
 }
 
-impl CostMatrix {
+impl CostMatrix<'static> {
     /// Wrap a row-major buffer.
     ///
     /// # Panics
     /// Panics when `data.len() != n * n` or `n == 0`.
     pub fn from_vec(n: usize, data: Vec<u32>) -> Self {
-        assert!(n > 0, "cost matrix must be non-empty");
-        assert_eq!(
-            data.len(),
-            n * n,
-            "buffer length {} does not match {n}x{n}",
-            data.len()
-        );
-        CostMatrix { n, data }
+        CostMatrix::new(n, Cow::Owned(data))
     }
 
     /// Build from a closure over `(row, col)`.
@@ -34,13 +34,33 @@ impl CostMatrix {
     /// # Panics
     /// Panics when `n == 0`.
     pub fn from_fn(n: usize, mut f: impl FnMut(usize, usize) -> u32) -> Self {
-        assert!(n > 0, "cost matrix must be non-empty");
         let mut data = Vec::with_capacity(n * n);
         for r in 0..n {
             for c in 0..n {
                 data.push(f(r, c));
             }
         }
+        CostMatrix::from_vec(n, data)
+    }
+}
+
+impl<'a> CostMatrix<'a> {
+    /// View a row-major buffer without copying it.
+    ///
+    /// # Panics
+    /// Panics when `data.len() != n * n` or `n == 0`.
+    pub fn borrowed(n: usize, data: &'a [u32]) -> Self {
+        CostMatrix::new(n, Cow::Borrowed(data))
+    }
+
+    fn new(n: usize, data: Cow<'a, [u32]>) -> Self {
+        assert!(n > 0, "cost matrix must be non-empty");
+        assert_eq!(
+            data.len(),
+            n * n,
+            "buffer length {} does not match {n}x{n}",
+            data.len()
+        );
         CostMatrix { n, data }
     }
 
@@ -93,7 +113,7 @@ impl CostMatrix {
     }
 }
 
-impl fmt::Debug for CostMatrix {
+impl fmt::Debug for CostMatrix<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "CostMatrix({0}x{0})", self.n)
     }
@@ -129,6 +149,15 @@ mod tests {
     #[should_panic(expected = "does not match")]
     fn wrong_buffer_len_panics() {
         let _ = CostMatrix::from_vec(2, vec![0; 3]);
+    }
+
+    #[test]
+    fn borrowed_view_reads_the_buffer_in_place() {
+        let data: Vec<u32> = (0..9).collect();
+        let view = CostMatrix::borrowed(3, &data);
+        assert_eq!(view.as_slice().as_ptr(), data.as_ptr());
+        assert_eq!(view, CostMatrix::from_vec(3, data.clone()));
+        assert_eq!(view.total(&[2, 1, 0]), 2 + 4 + 6);
     }
 
     #[test]

@@ -74,6 +74,10 @@ fn two_minima(cost: &CostMatrix, v: &[i64], i: usize) -> (i64, usize, i64, usize
 #[allow(clippy::needless_range_loop)]
 pub fn solve_jv(cost: &CostMatrix) -> Vec<usize> {
     let n = cost.size();
+    // Entries read once through the slice: the matrix's accessors would
+    // re-derive it (and re-check bounds) on every one of the O(n²) reads.
+    let entries = cost.as_slice();
+    let at = |i: usize, j: usize| i64::from(entries[i * n + j]);
     let mut x = vec![UNASSIGNED; n]; // row -> col
     let mut y = vec![UNASSIGNED; n]; // col -> row
     let mut v = vec![0i64; n];
@@ -82,9 +86,9 @@ pub fn solve_jv(cost: &CostMatrix) -> Vec<usize> {
     // that are still free).
     for j in (0..n).rev() {
         let mut imin = 0usize;
-        let mut cmin = i64::from(cost.get(0, j));
+        let mut cmin = at(0, j);
         for i in 1..n {
-            let c = i64::from(cost.get(i, j));
+            let c = at(i, j);
             if c < cmin {
                 cmin = c;
                 imin = i;
@@ -105,10 +109,10 @@ pub fn solve_jv(cost: &CostMatrix) -> Vec<usize> {
             let mut min2 = i64::MAX;
             for j in 0..n {
                 if j != j1 {
-                    min2 = min2.min(i64::from(cost.get(i, j)) - v[j]);
+                    min2 = min2.min(at(i, j) - v[j]);
                 }
             }
-            v[j1] -= min2 - (i64::from(cost.get(i, j1)) - v[j1]);
+            v[j1] -= min2 - (at(i, j1) - v[j1]);
         }
     }
 
@@ -167,7 +171,7 @@ pub fn solve_jv(cost: &CostMatrix) -> Vec<usize> {
     let mut scanned = vec![false; n];
     for &f in &free {
         for j in 0..n {
-            d[j] = i64::from(cost.get(f, j)) - v[j];
+            d[j] = at(f, j) - v[j];
             pred[j] = f;
             scanned[j] = false;
         }
@@ -192,8 +196,8 @@ pub fn solve_jv(cost: &CostMatrix) -> Vec<usize> {
             }
             let i = y[jmin];
             // Implicit row dual of i at this point in the search.
-            let u1 = i64::from(cost.get(i, jmin)) - v[jmin] - mu;
-            let row = cost.row(i);
+            let u1 = at(i, jmin) - v[jmin] - mu;
+            let row = &entries[i * n..(i + 1) * n];
             for j in 0..n {
                 if !scanned[j] {
                     let h = i64::from(row[j]) - v[j] - u1;

@@ -24,6 +24,9 @@
 //!
 //! All solvers consume a [`CostMatrix`] (`u32` entries) and produce an
 //! [`Assignment`] mapping rows (input tiles) to columns (target positions).
+//! A `CostMatrix` either owns its entries or borrows a row-major buffer
+//! ([`CostMatrix::borrowed`]), so the mosaic pipeline hands the solvers
+//! the Step-2 error matrix as it is: the reduction of §III costs no copy.
 //!
 //! # Example
 //!

@@ -580,7 +580,7 @@ mod tests {
     use super::*;
     use crate::hungarian::{optimal_total, solve_hungarian};
 
-    fn random_cost(n: usize, seed: u64, max: u64) -> CostMatrix {
+    fn random_cost(n: usize, seed: u64, max: u64) -> CostMatrix<'static> {
         let mut state = seed | 1;
         let mut next = move || {
             state ^= state << 13;

@@ -9,7 +9,7 @@ use mosaic_assign::{
 };
 use mosaic_image::testutil::XorShift;
 
-fn arb_cost_matrix(rng: &mut XorShift, max_n: usize, max_cost: u32) -> CostMatrix {
+fn arb_cost_matrix(rng: &mut XorShift, max_n: usize, max_cost: u32) -> CostMatrix<'static> {
     let n = rng.range(1, max_n);
     let data: Vec<u32> = (0..n * n)
         .map(|_| rng.next_u32() % (max_cost + 1))

@@ -59,7 +59,7 @@ use photomosaic::anneal::anneal_search;
 use photomosaic::errors::gpu_error_matrix;
 use photomosaic::json::{Json, JsonError};
 use photomosaic::local_search::local_search;
-use photomosaic::optimal::optimal_rearrangement;
+use photomosaic::optimal::{optimal_rearrangement, to_cost_matrix};
 use photomosaic::parallel_search::{
     parallel_search_gpu, parallel_search_reference, parallel_search_threads,
 };
@@ -303,7 +303,7 @@ fn suite_rearrange(options: &Options, cases: &mut Vec<Case>) {
     }
 }
 
-fn random_cost(n: usize, seed: u64) -> CostMatrix {
+fn random_cost(n: usize, seed: u64) -> CostMatrix<'static> {
     let mut state = seed | 1;
     let mut next = move || {
         state ^= state << 13;
@@ -337,7 +337,7 @@ fn suite_solvers(options: &Options, cases: &mut Vec<Case>) {
     let (input, target) = figure2_pair(256);
     let layout = TileLayout::with_grid(256, 16).unwrap();
     let matrix = build_error_matrix(&input, &target, layout, TileMetric::Sad).unwrap();
-    let cost = CostMatrix::from_vec(matrix.size(), matrix.as_slice().to_vec());
+    let cost = to_cost_matrix(&matrix);
     for kind in SolverKind::ALL {
         let solver = kind.build();
         cases.push(run_case(

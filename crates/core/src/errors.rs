@@ -9,6 +9,7 @@
 
 use crate::config::Backend;
 use mosaic_gpu::{BlockContext, DeviceSpec, GlobalBuffer, GpuSim, LaunchConfig, WorkProfile};
+use mosaic_grid::compute::checked_layouts;
 use mosaic_grid::LayoutError;
 use mosaic_grid::{
     build_error_matrix, build_error_matrix_threaded_bounded_in, BuildError, Deadline, ErrorMatrix,
@@ -138,17 +139,7 @@ pub fn gpu_error_matrix<P: Pixel>(
     layout: TileLayout,
     metric: TileMetric,
 ) -> Result<ErrorMatrix, LayoutError> {
-    layout.check_image(input)?;
-    layout.check_image(target)?;
-    // Same u32-entry overflow guard the serial builder enforces; without it
-    // `e as u32` below would silently truncate (e.g. SSD on 512-pixel
-    // tiles exceeds u32::MAX).
-    let bound = metric.max_tile_error::<P>(layout.pixels_per_tile());
-    assert!(
-        bound <= u64::from(u32::MAX),
-        "metric {metric:?} with tile {0}x{0} overflows u32 entries",
-        layout.tile_size(),
-    );
+    checked_layouts(input, target, layout, metric)?;
     let s = layout.tile_count();
     let m = layout.tile_size();
     let channels = P::CHANNELS;

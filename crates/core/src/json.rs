@@ -484,13 +484,16 @@ impl Parser<'_> {
         Ok(())
     }
 
+    /// Exactly four ASCII hex digits (no sign, no space).
     fn hex4(&mut self) -> Result<u32, JsonError> {
-        if self.pos + 4 > self.bytes.len() {
+        let Some(digits) = self.bytes.get(self.pos..self.pos + 4) else {
             return Err(self.err("truncated unicode escape"));
+        };
+        let mut v = 0;
+        for &b in digits {
+            let d = char::from(b).to_digit(16);
+            v = v * 16 + d.ok_or_else(|| self.err("invalid unicode escape"))?;
         }
-        let s = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.err("invalid unicode escape"))?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| self.err("invalid unicode escape"))?;
         self.pos += 4;
         Ok(v)
     }
@@ -588,6 +591,17 @@ mod tests {
     #[test]
     fn unicode_escapes_parse() {
         assert_eq!(Json::parse(r#""Aé😀""#).unwrap().as_str(), Some("Aé😀"));
+    }
+
+    #[test]
+    fn unicode_escape_takes_exactly_four_hex_digits() {
+        // A sign or space among the digits is not hex, even where an
+        // integer parser would skip it; the error points at the digits.
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#] {
+            assert_eq!(parse_err(bad), (3, "invalid unicode escape".to_string()));
+        }
+        assert_eq!(Json::parse(r#""\u0041""#).unwrap().as_str(), Some("A"));
+        assert_eq!(Json::parse(r#""\u00e9""#).unwrap().as_str(), Some("é"));
     }
 
     #[test]

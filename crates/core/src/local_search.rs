@@ -24,7 +24,7 @@ pub struct SearchOutcome {
 }
 
 /// Unwrap a bounded-search result produced under [`Deadline::NONE`].
-fn never_exceeded<T>(result: Result<T, DeadlineExceeded>) -> T {
+pub(crate) fn never_exceeded<T>(result: Result<T, DeadlineExceeded>) -> T {
     match result {
         Ok(value) => value,
         // lint:allow(panic) callers pass Deadline::NONE, which never expires

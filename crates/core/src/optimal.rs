@@ -3,8 +3,10 @@
 //! "Consider a weighted complete bipartite graph (V₁, V₂, E) … obtaining
 //! the best rearranged image R* is finding a matching of minimum weight."
 //! The Step-2 error matrix *is* the weight matrix of that bipartite graph
-//! (rows = input tiles, columns = target positions), so the reduction is a
-//! type conversion followed by an exact assignment solve.
+//! (rows = input tiles, columns = target positions), so the reduction is
+//! an exact assignment solve over the Step-2 matrix as it lies: the
+//! solvers read its row-major entries through a borrowed [`CostMatrix`]
+//! view, and no S² copy is made.
 //!
 //! The paper used Blossom V as its matcher; on bipartite instances every
 //! exact solver returns the same optimum, so the solver is pluggable
@@ -14,9 +16,10 @@ use crate::local_search::SearchOutcome;
 use mosaic_assign::{CostMatrix, Solver, SolverKind, SparseAuctionSolver};
 use mosaic_grid::ErrorMatrix;
 
-/// Convert the Step-2 error matrix into an assignment cost matrix.
-pub fn to_cost_matrix(matrix: &ErrorMatrix) -> CostMatrix {
-    CostMatrix::from_vec(matrix.size(), matrix.as_slice().to_vec())
+/// The Step-2 error matrix as an assignment cost matrix: a view over its
+/// entries, built in O(1) without copying them.
+pub fn to_cost_matrix(matrix: &ErrorMatrix) -> CostMatrix<'_> {
+    CostMatrix::borrowed(matrix.size(), matrix.as_slice())
 }
 
 /// Solve Step 3 exactly with the chosen solver.
@@ -73,6 +76,7 @@ mod tests {
     fn cost_matrix_conversion_preserves_entries() {
         let m = random_matrix(5, 3, 100);
         let c = to_cost_matrix(&m);
+        assert_eq!(c.as_slice().as_ptr(), m.as_slice().as_ptr());
         for u in 0..5 {
             for v in 0..5 {
                 assert_eq!(c.get(u, v), m.get(u, v));

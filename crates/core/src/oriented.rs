@@ -13,6 +13,7 @@
 use crate::local_search::{local_search, SearchOutcome};
 use crate::optimal::optimal_rearrangement;
 use mosaic_assign::SolverKind;
+use mosaic_grid::compute::checked_layouts;
 use mosaic_grid::{ErrorMatrix, LayoutError, TileLayout, TileMetric};
 use mosaic_image::ops;
 use mosaic_image::{GrayImage, Image, Pixel};
@@ -117,16 +118,8 @@ pub fn build_oriented_error_matrix(
     allowed: &[Orientation],
 ) -> Result<OrientedErrors, LayoutError> {
     assert!(!allowed.is_empty(), "at least one orientation is required");
-    layout.check_image(input)?;
-    layout.check_image(target)?;
+    checked_layouts(input, target, layout, metric)?;
     let s = layout.tile_count();
-    // Same u32-entry overflow guard as the standard builders.
-    let bound = metric.max_tile_error::<mosaic_image::Gray>(layout.pixels_per_tile());
-    assert!(
-        bound <= u64::from(u32::MAX),
-        "metric {metric:?} with tile {0}x{0} overflows u32 entries",
-        layout.tile_size(),
-    );
     let mut matrix = ErrorMatrix::zeros(s);
     let mut best = vec![Orientation::R0; s * s];
     let target_tiles: Vec<GrayImage> = (0..s)
@@ -369,5 +362,15 @@ mod tests {
         let img = synth::gradient(16);
         let layout = TileLayout::new(16, 8).unwrap();
         let _ = build_oriented_error_matrix(&img, &img, layout, TileMetric::Sad, &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows u32 entries")]
+    fn overflowing_metric_rejected_like_the_other_builders() {
+        // SSD on a 260x260 tile can exceed u32::MAX.
+        let img = Image::from_fn(260, 260, |_, _| Gray(0)).unwrap();
+        let layout = TileLayout::new(260, 260).unwrap();
+        let _ =
+            build_oriented_error_matrix(&img, &img, layout, TileMetric::Ssd, &[Orientation::R0]);
     }
 }

@@ -321,13 +321,16 @@ impl Parser<'_> {
         }
     }
 
+    /// Exactly four ASCII hex digits (no sign, no space).
     fn hex4(&mut self) -> Result<u32, JsonError> {
-        if self.pos + 4 > self.bytes.len() {
+        let Some(digits) = self.bytes.get(self.pos..self.pos + 4) else {
             return Err(self.err("truncated unicode escape"));
+        };
+        let mut v = 0;
+        for &b in digits {
+            let d = char::from(b).to_digit(16);
+            v = v * 16 + d.ok_or_else(|| self.err("invalid unicode escape"))?;
         }
-        let s = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.err("invalid unicode escape"))?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| self.err("invalid unicode escape"))?;
         self.pos += 4;
         Ok(v)
     }

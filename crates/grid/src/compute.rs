@@ -81,7 +81,17 @@ impl std::fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
-fn checked_layouts<P: Pixel>(
+/// Check that both images match `layout` and that every `metric` error on
+/// its tiles fits a `u32` entry: the precondition of every Step-2 builder,
+/// here and in `photomosaic`.
+///
+/// # Errors
+/// Returns [`LayoutError`] when either image does not match `layout`.
+///
+/// # Panics
+/// Panics ("overflows u32 entries") when an error could exceed `u32::MAX`
+/// and narrowing it would silently truncate.
+pub fn checked_layouts<P: Pixel>(
     input: &Image<P>,
     target: &Image<P>,
     layout: TileLayout,

@@ -16,6 +16,13 @@ run cargo test -q --offline
 run cargo fmt --check
 run cargo clippy --offline --all-targets -- -D warnings
 
+# The benchmark in perfbench/ is a separate Cargo package built against
+# the crates' public API with its own lock file. Build it the way the
+# benchmark command does (--locked) and run its unit tests, so an API or
+# dependency change that breaks it fails here, not in a benchmark run.
+run cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+run cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 # gate LABEL FLOOR cargo ... — run one test suite, show its `test result:`
 # lines, and fail unless their passed counts sum to at least FLOOR, so a
 # renamed or filtered-out suite cannot pass vacuously. The suite's output

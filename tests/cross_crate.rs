@@ -1,13 +1,14 @@
 //! Cross-crate integration: substrates composed directly, bypassing the
 //! pipeline facade.
 
-use mosaic_assign::{CostMatrix, HungarianSolver, JonkerVolgenantSolver, Solver};
+use mosaic_assign::{HungarianSolver, JonkerVolgenantSolver, Solver};
 use mosaic_edgecolor::{is_exact_cover, is_proper_coloring, SwapSchedule};
 use mosaic_gpu::{DeviceSpec, GpuSim};
 use mosaic_grid::{assemble, build_error_matrix, TileLayout, TileMetric};
 use mosaic_image::{metrics, synth};
 use photomosaic::errors::gpu_error_matrix;
 use photomosaic::local_search::local_search;
+use photomosaic::optimal::to_cost_matrix;
 use photomosaic::parallel_search::{parallel_search_gpu, parallel_search_reference};
 
 #[test]
@@ -32,7 +33,7 @@ fn solver_on_real_error_matrix_beats_local_search_or_ties() {
     let target = synth::drapery(64, 6);
     let layout = TileLayout::with_grid(64, 8).unwrap();
     let matrix = build_error_matrix(&input, &target, layout, TileMetric::Sad).unwrap();
-    let cost = CostMatrix::from_vec(matrix.size(), matrix.as_slice().to_vec());
+    let cost = to_cost_matrix(&matrix);
     let exact = JonkerVolgenantSolver.solve(&cost);
     let hungarian = HungarianSolver.solve(&cost);
     assert_eq!(exact.total(), hungarian.total());
@@ -46,7 +47,7 @@ fn assembled_mosaic_error_equals_solver_total() {
     let target = synth::checker(64, 8, 4);
     let layout = TileLayout::with_grid(64, 8).unwrap();
     let matrix = build_error_matrix(&input, &target, layout, TileMetric::Sad).unwrap();
-    let cost = CostMatrix::from_vec(matrix.size(), matrix.as_slice().to_vec());
+    let cost = to_cost_matrix(&matrix);
     let solution = JonkerVolgenantSolver.solve(&cost);
     let assignment = solution.col_to_row();
     let mosaic = assemble(&input, layout, &assignment).unwrap();
