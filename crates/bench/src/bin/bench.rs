@@ -235,23 +235,29 @@ fn suite_error_matrix(options: &Options, cases: &mut Vec<Case>) {
         ));
     }
 
-    // Scalar-vs-dispatched SIMD on the serial builder at S = 256 (grid 16,
-    // M = 16) and S = 1024 (grid 32, M = 8): same work, only the inner
-    // kernel differs, so the gap is the SIMD speedup the dispatch buys.
+    // Scalar oracle vs the dispatched, packed serial builder at M = 16:
+    // S = 256 (256 px) and the paper's S = 1024 (512 px). Same matrix,
+    // but the oracle walks tile rows through the scalar kernel while the
+    // builder makes one SIMD call per packed tile pair, so the gap is what
+    // packing plus dispatch buy. `simd/s4096` (1024 px) is the paper-scale
+    // Step 2 on one core; its scalar arm would take seconds per sample.
     let level = mosaic_grid::init_simd_kernels();
     eprintln!("kernel dispatch: {}", level.name());
-    for &grid in &[16usize, 32] {
-        let layout = TileLayout::with_grid(size, grid).unwrap();
+    for &(size, oracle) in &[(256usize, true), (512, true), (1024, false)] {
+        let (input, target) = figure2_pair(size);
+        let layout = TileLayout::new(size, 16).unwrap();
         let s = layout.tile_count();
-        cases.push(run_case(
-            "error_matrix",
-            format!("scalar/s{s}"),
-            options.samples,
-            || {
-                mosaic_grid::build_error_matrix_scalar(&input, &target, layout, TileMetric::Sad)
-                    .unwrap()
-            },
-        ));
+        if oracle {
+            cases.push(run_case(
+                "error_matrix",
+                format!("scalar/s{s}"),
+                options.samples,
+                || {
+                    mosaic_grid::build_error_matrix_scalar(&input, &target, layout, TileMetric::Sad)
+                        .unwrap()
+                },
+            ));
+        }
         cases.push(run_case(
             "error_matrix",
             format!("simd/s{s}"),

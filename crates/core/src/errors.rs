@@ -12,8 +12,8 @@ use mosaic_gpu::{BlockContext, DeviceSpec, GlobalBuffer, GpuSim, LaunchConfig, W
 use mosaic_grid::compute::checked_layouts;
 use mosaic_grid::LayoutError;
 use mosaic_grid::{
-    build_error_matrix, build_error_matrix_threaded_bounded_in, BuildError, Deadline, ErrorMatrix,
-    TileLayout, TileMetric,
+    build_error_matrix, build_error_matrix_threaded_bounded_in, packed_tile_error, BuildError,
+    Deadline, ErrorMatrix, TileLayout, TileMetric,
 };
 use mosaic_image::{Image, Pixel};
 use mosaic_pool::ThreadPool;
@@ -29,21 +29,11 @@ pub struct StepTrace {
     pub profile: WorkProfile,
 }
 
-/// Flatten an image into interleaved channel bytes (row-major), the layout
-/// the simulated device consumes.
-pub fn image_bytes<P: Pixel>(img: &Image<P>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(img.pixels().len() * P::CHANNELS);
-    for p in img.pixels() {
-        out.extend_from_slice(p.channels());
-    }
-    out
-}
-
 /// The work profile of Step 2 for the given geometry (used for modeled
 /// device times; identical for every backend since the algorithm is).
 pub fn step2_profile<P: Pixel>(layout: TileLayout, launches: usize) -> WorkProfile {
     let s = layout.tile_count() as u64;
-    let tile_bytes = (layout.pixels_per_tile() * P::CHANNELS) as u64;
+    let tile_bytes = layout.tile_bytes::<P>() as u64;
     WorkProfile {
         launches,
         // Each block reads its input tile once plus all S target tiles and
@@ -141,72 +131,28 @@ pub fn gpu_error_matrix<P: Pixel>(
 ) -> Result<ErrorMatrix, LayoutError> {
     checked_layouts(input, target, layout, metric)?;
     let s = layout.tile_count();
-    let m = layout.tile_size();
-    let channels = P::CHANNELS;
-    let row_bytes = layout.image_size() * channels;
-    let tile_row_bytes = m * channels;
-
-    let input_bytes = image_bytes(input);
-    let target_bytes = image_bytes(target);
+    let tile_bytes = layout.tile_bytes::<P>();
+    // Global memory holds both images tile-major, so a block's staging
+    // copy and every target tile it streams are contiguous reads.
+    let input_tiles = layout.pack(input);
+    let target_tiles = layout.pack(target);
     let matrix_out = GlobalBuffer::filled(s * s, 0u32);
 
     // Resolve the SIMD dispatch once, outside the lane closure: the
-    // simulated device kernel's per-row SAD/SSD goes through the same
-    // byte-row kernels as the CPU builders, so the "GPU" path cannot
-    // drift from them either.
+    // simulated device kernel goes through the same one-call-per-pair
+    // kernel as the CPU builders, so the "GPU" path cannot drift from
+    // them either.
     let k = mosaic_image::kernel::active();
     let kernel = |ctx: &mut BlockContext<'_>| {
         // One block per input tile u (§V): stage I_u in shared memory …
         let u = ctx.block_id();
-        let (ux, uy) = layout.tile_origin(u);
-        let staged = ctx.shared().alloc_u8(m * tile_row_bytes);
-        for dy in 0..m {
-            let src = (uy + dy) * row_bytes + ux * channels;
-            staged[dy * tile_row_bytes..(dy + 1) * tile_row_bytes]
-                .copy_from_slice(&input_bytes[src..src + tile_row_bytes]);
-        }
+        let staged = ctx.shared().alloc_u8(tile_bytes);
+        staged.copy_from_slice(&input_tiles[u * tile_bytes..(u + 1) * tile_bytes]);
         // … then compute E(I_u, T_v) for every v. On the real device the
         // block's threads split the v range; sequential iteration inside
         // the block is the barrier-free equivalent schedule.
-        for v in 0..s {
-            let (vx, vy) = layout.tile_origin(v);
-            let e: u64 = match metric {
-                TileMetric::Sad => {
-                    let mut acc = 0u64;
-                    for dy in 0..m {
-                        let t0 = (vy + dy) * row_bytes + vx * channels;
-                        let trow = &target_bytes[t0..t0 + tile_row_bytes];
-                        let srow = &staged[dy * tile_row_bytes..(dy + 1) * tile_row_bytes];
-                        acc += k.sad(srow, trow);
-                    }
-                    acc
-                }
-                TileMetric::Ssd => {
-                    let mut acc = 0u64;
-                    for dy in 0..m {
-                        let t0 = (vy + dy) * row_bytes + vx * channels;
-                        let trow = &target_bytes[t0..t0 + tile_row_bytes];
-                        let srow = &staged[dy * tile_row_bytes..(dy + 1) * tile_row_bytes];
-                        acc += k.ssd(srow, trow);
-                    }
-                    acc
-                }
-                TileMetric::MeanAbs => {
-                    let mut sum_a = 0u64;
-                    let mut sum_b = 0u64;
-                    for dy in 0..m {
-                        let t0 = (vy + dy) * row_bytes + vx * channels;
-                        let trow = &target_bytes[t0..t0 + tile_row_bytes];
-                        let srow = &staged[dy * tile_row_bytes..(dy + 1) * tile_row_bytes];
-                        for (&a, &b) in srow.iter().zip(trow) {
-                            sum_a += u64::from(a);
-                            sum_b += u64::from(b);
-                        }
-                    }
-                    sum_a.abs_diff(sum_b)
-                }
-            };
-            matrix_out.store(u * s + v, e as u32);
+        for (v, tv) in target_tiles.chunks_exact(tile_bytes).enumerate() {
+            matrix_out.store(u * s + v, packed_tile_error(k, staged, tv, metric) as u32);
         }
     };
 
@@ -251,6 +197,34 @@ mod tests {
         }
     }
 
+    /// The GpuSim arm of the packed-builder differential in
+    /// `mosaic-grid`'s `tests/packed_differential.rs`: the same tile
+    /// sizes (every SSE4.1/AVX2 tail of a `C·M²`-byte packed tile), Gray
+    /// and Rgb, every metric, bit-identical to the scalar oracle.
+    #[test]
+    fn gpu_matrix_is_bit_identical_to_the_scalar_oracle() {
+        use mosaic_grid::build_error_matrix_scalar;
+        use mosaic_image::testutil::{gray_image, rgb_image, XorShift};
+
+        fn check<P: Pixel>(sim: &GpuSim, image: impl Fn(&mut XorShift, usize) -> Image<P>) {
+            for (seed, tile) in [1, 3, 4, 6, 8, 12, 16, 32].into_iter().enumerate() {
+                let n = tile * 5;
+                let mut rng = XorShift::new(seed as u64 + 1);
+                let input = image(&mut rng, n);
+                let target = image(&mut rng, n);
+                let layout = TileLayout::new(n, tile).unwrap();
+                for metric in TileMetric::ALL {
+                    let oracle = build_error_matrix_scalar(&input, &target, layout, metric);
+                    let gpu = gpu_error_matrix(sim, &input, &target, layout, metric);
+                    assert_eq!(gpu.unwrap(), oracle.unwrap(), "M={tile} {metric:?}");
+                }
+            }
+        }
+        let sim = GpuSim::with_workers(DeviceSpec::tesla_k40(), 3);
+        check(&sim, |rng, n| gray_image(rng, n, n));
+        check(&sim, |rng, n| rgb_image(rng, n, n));
+    }
+
     #[test]
     fn all_backends_agree() {
         let input = synth::plasma(32, 2, 3);
@@ -279,13 +253,6 @@ mod tests {
         assert_eq!(serial, gpu);
         assert_eq!(trace.profile.launches, 1);
         assert!(trace.profile.ops > 0);
-    }
-
-    #[test]
-    fn image_bytes_layout() {
-        let img = mosaic_image::Image::from_vec(2, 1, vec![Rgb::new(1, 2, 3), Rgb::new(4, 5, 6)])
-            .unwrap();
-        assert_eq!(image_bytes(&img), vec![1, 2, 3, 4, 5, 6]);
     }
 
     #[test]

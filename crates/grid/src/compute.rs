@@ -7,14 +7,21 @@
 //! block is responsible for computing S error values
 //! E(I_u, T_1) … E(I_u, T_S)".
 //!
-//! The CUDA-model builder, which additionally stages the input tile in
-//! simulated shared memory, lives in the `photomosaic` crate on top of
-//! `mosaic-gpu`.
+//! Both pack each image once per build ([`TileLayout::pack`]) and compute
+//! every entry with one dispatched kernel call over two contiguous
+//! `C·M²`-byte tiles ([`packed_tile_error`]), where a view-based loop
+//! would make `M` calls of `C·M` bytes each. The CUDA-model builder, which
+//! additionally stages the input tile in simulated shared memory, lives in
+//! the `photomosaic` crate on top of `mosaic-gpu` and reads the same
+//! packed tiles. [`build_error_matrix_scalar`] keeps the per-row,
+//! view-based path on the scalar kernels as the named oracle all three
+//! are tested against.
 
 use crate::deadline::{Deadline, DeadlineExceeded};
 use crate::layout::{LayoutError, TileLayout};
 use crate::matrix::ErrorMatrix;
-use crate::metric::{tile_error, tile_error_scalar, TileMetric};
+use crate::metric::{packed_tile_error, tile_error_scalar, TileMetric};
+use mosaic_image::kernel::{self, Kernels};
 use mosaic_image::{Image, Pixel};
 use mosaic_pool::ThreadPool;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -124,15 +131,13 @@ pub fn build_error_matrix<P: Pixel>(
     checked_layouts(input, target, layout, metric)?;
     let _span = mosaic_telemetry::tracer().span("error_matrix_serial");
     let start = std::time::Instant::now();
-    let s = layout.tile_count();
-    let input_tiles = layout.tiles(input);
-    let target_tiles = layout.tiles(target);
-    let mut matrix = ErrorMatrix::zeros(s);
-    for (u, iu) in input_tiles.iter().enumerate() {
-        let row = matrix.row_mut(u);
-        for (v, tv) in target_tiles.iter().enumerate() {
-            row[v] = tile_error(iu, tv, metric) as u32;
-        }
+    let k = kernel::active();
+    let input_tiles = layout.pack(input);
+    let target_tiles = layout.pack(target);
+    let mut matrix = ErrorMatrix::zeros(layout.tile_count());
+    let tile_bytes = layout.tile_bytes::<P>();
+    for (u, iu) in input_tiles.chunks_exact(tile_bytes).enumerate() {
+        error_row(k, iu, &target_tiles, metric, matrix.row_mut(u));
     }
     mosaic_telemetry::registry()
         .histogram("error_matrix_simd_us")
@@ -140,12 +145,30 @@ pub fn build_error_matrix<P: Pixel>(
     Ok(matrix)
 }
 
-/// [`build_error_matrix`] forced onto the scalar oracle kernels.
+/// One matrix row: the errors of packed input tile `input_tile` against
+/// every tile of the packed target, one kernel call per entry.
+fn error_row(
+    k: &Kernels,
+    input_tile: &[u8],
+    target_tiles: &[u8],
+    metric: TileMetric,
+    row: &mut [u32],
+) {
+    let targets = target_tiles.chunks_exact(input_tile.len());
+    for (entry, tv) in row.iter_mut().zip(targets) {
+        *entry = packed_tile_error(k, input_tile, tv, metric) as u32;
+    }
+}
+
+/// The named oracle of every Step-2 builder: the per-row, view-based
+/// path forced onto the scalar kernels.
 ///
 /// The SIMD dispatch is process-wide and cached, so the only way to get
-/// a guaranteed-scalar matrix on an AVX2 host is to bypass it. The
-/// differential tests assert this builder and [`build_error_matrix`]
-/// produce bit-identical matrices; the bench publishes the timing gap.
+/// a guaranteed-scalar matrix on an AVX2 host is to bypass it; and this
+/// builder neither packs tiles nor makes one call per pair, so it checks
+/// the packed layout too. The differential tests assert that the serial,
+/// threaded and simulated-GPU builders produce bit-identical matrices;
+/// the bench publishes the timing gap.
 ///
 /// # Errors
 /// Returns [`LayoutError`] when either image does not match `layout`.
@@ -256,24 +279,27 @@ fn build_threaded_impl<P: Pixel>(
     let _span = mosaic_telemetry::tracer().span("error_matrix_threaded");
     let start = std::time::Instant::now();
     let s = layout.tile_count();
+    let tile_bytes = layout.tile_bytes::<P>();
+    let k = kernel::active();
+    let input_tiles = layout.pack(input);
+    let target_tiles = layout.pack(target);
     let rows_per_worker = s.div_ceil(threads);
     let mut entries = vec![0u32; s * s];
     let rows_done = AtomicUsize::new(0);
 
     // One pool chunk per worker's row range; each chunk is a disjoint
-    // slab of whole rows, so workers never share a row.
+    // slab of whole rows, so workers never share a row. Every worker
+    // reads the same two packed buffers.
     pool.parallel_for_mut(&mut entries, rows_per_worker * s, |chunk, slab| {
-        let target_tiles = layout.tiles(target);
         let base = chunk * rows_per_worker;
         for (offset, row) in slab.chunks_mut(s).enumerate() {
             if deadline.expired() {
                 return;
             }
             row_hook();
-            let iu = layout.tile_view(input, base + offset);
-            for (v, tv) in target_tiles.iter().enumerate() {
-                row[v] = tile_error(&iu, tv, metric) as u32;
-            }
+            let u = base + offset;
+            let iu = &input_tiles[u * tile_bytes..(u + 1) * tile_bytes];
+            error_row(k, iu, &target_tiles, metric, row);
             rows_done.fetch_add(1, Ordering::Relaxed);
         }
     });
@@ -305,7 +331,7 @@ mod tests {
         assert_eq!(m.size(), 16);
         for u in 0..16 {
             for v in 0..16 {
-                let expected = tile_error(
+                let expected = crate::metric::tile_error(
                     &layout.tile_view(&input, u),
                     &layout.tile_view(&target, v),
                     TileMetric::Sad,

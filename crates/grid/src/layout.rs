@@ -191,6 +191,13 @@ impl TileLayout {
         row * self.tiles_per_side + col
     }
 
+    /// Bytes per tile for pixel type `P`: `C·M²`, the length of one tile
+    /// in a [`TileLayout::pack`] buffer.
+    #[inline]
+    pub fn tile_bytes<P: Pixel>(&self) -> usize {
+        self.pixels_per_tile() * P::CHANNELS
+    }
+
     /// Pixel origin `(x, y)` of tile `index`.
     #[inline]
     pub fn tile_origin(&self, index: usize) -> (usize, usize) {
@@ -216,6 +223,25 @@ impl TileLayout {
         (0..self.tile_count())
             .map(|i| self.tile_view(img, i))
             .collect()
+    }
+
+    /// Copy `img`'s tiles into one tile-major byte buffer, the Step-2
+    /// builders' input: tile `i` is the contiguous
+    /// [`tile_bytes`](TileLayout::tile_bytes) slice starting at
+    /// `i · C·M²`, its `M` rows in order, each pixel's channels
+    /// interleaved. The buffer is exactly as large as the image, and one
+    /// kernel call over two such slices computes a whole tile-pair error.
+    ///
+    /// # Panics
+    /// Panics when the image does not match the layout.
+    pub fn pack<P: Pixel>(&self, img: &Image<P>) -> Vec<u8> {
+        let mut packed = Vec::with_capacity(self.tile_count() * self.tile_bytes::<P>());
+        for view in self.tiles(img) {
+            for row in view.rows() {
+                packed.extend_from_slice(P::row_bytes(row));
+            }
+        }
+        packed
     }
 }
 
@@ -301,6 +327,36 @@ mod tests {
         assert_eq!(tiles.len(), 16);
         assert_eq!(tiles[0].pixel(0, 0), img.pixel(0, 0));
         assert_eq!(tiles[15].pixel(3, 3), img.pixel(15, 15));
+    }
+
+    #[test]
+    fn pack_lays_tiles_out_contiguously() {
+        // 4x4 image, 2x2 tiles: pixel value = 10*y + x.
+        let img = mosaic_image::Image::from_fn(4, 4, |x, y| mosaic_image::Gray((10 * y + x) as u8))
+            .unwrap();
+        let l = TileLayout::new(4, 2).unwrap();
+        assert_eq!(l.tile_bytes::<mosaic_image::Gray>(), 4);
+        #[rustfmt::skip]
+        let expected = vec![
+            0, 1, 10, 11,   // tile 0: (0,0)
+            2, 3, 12, 13,   // tile 1: (0,1)
+            20, 21, 30, 31, // tile 2: (1,0)
+            22, 23, 32, 33, // tile 3: (1,1)
+        ];
+        assert_eq!(l.pack(&img), expected);
+
+        // RGB interleaves each pixel's channels inside its tile.
+        let rgb = mosaic_image::Image::from_fn(2, 2, |x, y| {
+            let v = (10 * y + x) as u8;
+            mosaic_image::Rgb::new(v, v + 100, v + 200)
+        })
+        .unwrap();
+        let one = TileLayout::new(2, 1).unwrap();
+        assert_eq!(one.tile_bytes::<mosaic_image::Rgb>(), 3);
+        assert_eq!(
+            one.pack(&rgb),
+            vec![0, 100, 200, 1, 101, 201, 10, 110, 210, 11, 111, 211]
+        );
     }
 
     #[test]

@@ -6,9 +6,12 @@
 //! errors `E(I_u, T_v)`. This crate owns:
 //!
 //! * [`layout`] — the [`TileLayout`] geometry (N, M, S, index↔coordinate
-//!   conversions);
+//!   conversions) and [`TileLayout::pack`], the tile-major byte buffer the
+//!   Step-2 builders read;
 //! * [`metric`] — per-tile error metrics: the paper's SAD (Eq. 1) plus SSD
-//!   and a cheap mean-intensity metric for the ablation benches;
+//!   and a cheap mean-intensity metric for the ablation benches, on tile
+//!   views or, with one kernel call per pair, on packed tiles
+//!   ([`packed_tile_error`]);
 //! * [`matrix`] — the dense [`ErrorMatrix`] with `u32` entries and `u64`
 //!   assignment totals;
 //! * [`compute`] — serial and multi-threaded matrix builders (the threaded
@@ -56,4 +59,4 @@ pub use compute::{
 pub use deadline::{Deadline, DeadlineExceeded};
 pub use layout::{LayoutError, TileLayout};
 pub use matrix::ErrorMatrix;
-pub use metric::{tile_error, tile_error_scalar, tile_error_with, TileMetric};
+pub use metric::{packed_tile_error, tile_error, tile_error_scalar, tile_error_with, TileMetric};

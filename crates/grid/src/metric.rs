@@ -99,6 +99,32 @@ pub fn tile_error_with<P: Pixel>(
     }
 }
 
+/// The error between two packed tiles — [`crate::TileLayout::pack`]
+/// slices of equal length — with **one** kernel call per pair.
+///
+/// This is the Step-2 builders' inner loop. Packing does not reorder
+/// the bytes a metric sums, so the result is bit-identical to
+/// [`tile_error_with`] on the tiles' views: SAD and SSD are per-byte
+/// sums, and `MeanAbs` compares the two byte totals.
+///
+/// # Panics
+/// Panics when the slices' lengths differ.
+#[inline]
+pub fn packed_tile_error(k: &Kernels, a: &[u8], b: &[u8], metric: TileMetric) -> u64 {
+    match metric {
+        TileMetric::Sad => k.sad(a, b),
+        TileMetric::Ssd => k.ssd(a, b),
+        TileMetric::MeanAbs => {
+            assert_eq!(a.len(), b.len(), "packed tiles must have equal lengths");
+            byte_sum(a).abs_diff(byte_sum(b))
+        }
+    }
+}
+
+fn byte_sum(bytes: &[u8]) -> u64 {
+    bytes.iter().map(|&c| u64::from(c)).sum()
+}
+
 fn sad<P: Pixel>(k: &Kernels, a: &ImageView<'_, P>, b: &ImageView<'_, P>) -> u64 {
     let mut total = 0u64;
     for y in 0..a.height() {
@@ -239,6 +265,26 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), TileMetric::ALL.len());
+    }
+
+    #[test]
+    fn packed_error_matches_view_error_on_every_metric() {
+        let a = mosaic_image::synth::plasma(8, 3, 2);
+        let b = mosaic_image::synth::checker(8, 2, 4);
+        let whole = crate::TileLayout::new(8, 8).unwrap();
+        for m in TileMetric::ALL {
+            assert_eq!(
+                packed_tile_error(kernel::active(), &whole.pack(&a), &whole.pack(&b), m),
+                tile_error_scalar(&a.full_view(), &b.full_view(), m),
+                "{m:?}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "equal lengths")]
+    fn mismatched_packed_tiles_panic() {
+        let _ = packed_tile_error(kernel::active(), &[1, 2], &[1], TileMetric::MeanAbs);
     }
 
     #[test]

@@ -3,11 +3,20 @@
 //! The per-job dominant cost of the whole pipeline is Step 2's S×S error
 //! matrix: S² tile pairs, each a sum of absolute (SAD) or squared (SSD)
 //! per-byte differences over M×M pixels. This module is the single source
-//! of truth for that inner loop — every consumer in the workspace
-//! (`mosaic_grid::tile_error`, [`crate::ImageView::sad`],
-//! [`crate::metrics::sad`], the GPU simulator's lane kernel) routes
+//! of truth for that inner loop — every consumer in the workspace routes
 //! through one [`Kernels`] dispatch table, so the three scalar copies
-//! that used to live in those call sites can no longer drift apart.
+//! that used to live in those call sites can no longer drift apart:
+//!
+//! * the packed Step-2 builders — `mosaic_grid::build_error_matrix`, the
+//!   threaded builder and `photomosaic::errors::gpu_error_matrix`'s
+//!   simulated-device kernel — which pack each image's tiles once per
+//!   build (`mosaic_grid::TileLayout::pack`) and make **one** call per
+//!   tile pair over two contiguous `C·M²`-byte tiles
+//!   (`mosaic_grid::packed_tile_error`);
+//! * the per-row, view-based `mosaic_grid::tile_error`, which the
+//!   scalar-oracle builder and the single-pair callers (multi-resolution,
+//!   oriented, tile database and library pruning) use;
+//! * [`crate::ImageView::sad`] and [`crate::metrics::sad`].
 //!
 //! Three implementations are provided and selected **once per process**:
 //!

@@ -357,8 +357,9 @@ mod tests {
         assert_eq!(wait.get("sum").unwrap().as_u64(), Some(300));
         assert_eq!(wait.get("min").unwrap().as_u64(), Some(100));
         assert_eq!(wait.get("max").unwrap().as_u64(), Some(200));
-        // 200 µs lives in bucket [128, 255].
-        assert_eq!(wait.get("p99").unwrap().as_u64(), Some(255));
+        // 200 µs lives in bucket [128, 255], whose bound is clamped to
+        // the largest sample.
+        assert_eq!(wait.get("p99").unwrap().as_u64(), Some(200));
     }
 
     #[test]

@@ -167,7 +167,7 @@ mod tests {
         assert!(json.contains("\"gauges\":{\"in_flight\":-2}"));
         assert!(json.contains(
             "\"latency_us\":{\"count\":1,\"sum\":100,\"min\":100,\"max\":100,\
-             \"p50\":127,\"p90\":127,\"p99\":127}"
+             \"p50\":100,\"p90\":100,\"p99\":100}"
         ));
     }
 

@@ -14,10 +14,11 @@
 //! (so the bucket *upper bounds* are 0, 1, 3, 7, 15, …, `u64::MAX`).
 //! Quantile `q` is answered from the bucket counts: with `n` recorded
 //! samples, the rank is `max(1, ceil(q·n))` and the answer is the upper
-//! bound of the first bucket whose cumulative count reaches that rank —
-//! an upper bound on the true sample quantile that is exact whenever
-//! the sample sits on a bucket edge. An empty histogram reports 0 for
-//! every statistic.
+//! bound of the first bucket whose cumulative count reaches that rank,
+//! clamped to the recorded `[min, max]` — an upper bound on the true
+//! sample quantile that is exact whenever the sample sits on a bucket
+//! edge or is the largest sample, and never a value outside the range
+//! actually observed. An empty histogram reports 0 for every statistic.
 
 use crate::sync::lock_unpoisoned;
 use std::collections::BTreeMap;
@@ -181,7 +182,8 @@ impl Histogram {
     }
 
     /// Upper bound of the bucket holding the `max(1, ceil(q·count))`-th
-    /// smallest sample; 0 when empty. `q` is clamped to `[0, 1]`.
+    /// smallest sample, clamped to the recorded `[min, max]`; 0 when
+    /// empty. `q` is clamped to `[0, 1]`.
     pub fn quantile(&self, q: f64) -> u64 {
         let count = self.count();
         if count == 0 {
@@ -190,13 +192,27 @@ impl Histogram {
         let q = q.clamp(0.0, 1.0);
         let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
         let mut cumulative = 0u64;
+        let mut bound = bucket_upper_bound(BUCKETS - 1);
         for (i, bucket) in self.buckets.iter().enumerate() {
             cumulative += bucket.load(Ordering::Relaxed);
             if cumulative >= rank {
-                return bucket_upper_bound(i);
+                bound = bucket_upper_bound(i);
+                break;
             }
         }
-        bucket_upper_bound(BUCKETS - 1)
+        // A bucket's upper bound can exceed every sample in it. The min
+        // and max are read after the buckets; a record racing this read
+        // may not have published them yet, so clamp only a consistent
+        // pair.
+        let (min, max) = (
+            self.min.load(Ordering::Relaxed),
+            self.max.load(Ordering::Relaxed),
+        );
+        if min <= max {
+            bound.clamp(min, max)
+        } else {
+            bound
+        }
     }
 
     /// Snapshot every summary statistic at once.
@@ -404,8 +420,8 @@ mod tests {
         let s = h.summary();
         assert_eq!((s.count, s.sum, s.min, s.max), (1, 100, 100, 100));
         // 100 lives in bucket [64, 127]; every quantile reports its
-        // upper bound.
-        assert_eq!((s.p50, s.p90, s.p99), (127, 127, 127));
+        // upper bound clamped to the one observed value.
+        assert_eq!((s.p50, s.p90, s.p99), (100, 100, 100));
     }
 
     #[test]
@@ -440,7 +456,27 @@ mod tests {
     fn quantile_reports_bucket_upper_bound_not_sample() {
         let h = Histogram::default();
         h.record(5); // bucket [4, 7]
+        h.record(9); // bucket [8, 15]
         assert_eq!(h.quantile(0.5), 7, "upper bound of the containing bucket");
+        // The top bucket's bound 15 was never observed: clamp to the max.
+        assert_eq!(h.quantile(0.9), 9, "clamped to the largest sample");
+    }
+
+    #[test]
+    fn quantiles_never_leave_the_observed_range() {
+        // The published `serial_16` shape: every sample in [4096, 8191],
+        // the largest 5463. No quantile may report the unobserved 8191.
+        let h = Histogram::default();
+        for v in [4236u64, 4402, 4511, 4978, 5463] {
+            h.record(v);
+        }
+        let s = h.summary();
+        assert_eq!((s.min, s.max), (4236, 5463));
+        assert_eq!((s.p50, s.p90, s.p99), (5463, 5463, 5463));
+        for q in [0.0, 0.25, 0.5, 0.9, 1.0] {
+            let v = h.quantile(q);
+            assert!((s.min..=s.max).contains(&v), "q={q}: {v}");
+        }
     }
 
     #[test]

@@ -73,8 +73,10 @@ fn concurrent_histogram_counts_sums_and_buckets_are_exact() {
     // counts: rank(0.5) = 4000 falls in bucket [256, 511] because
     // cumulative(511) = 8 * 512 = 4096 >= 4000.
     assert_eq!(s.p50, 511);
-    assert_eq!(s.p90, 1023, "rank 7200 needs cumulative 8*1000");
-    assert_eq!(s.p99, 1023);
+    // Rank 7200 needs cumulative 8*1000, bucket [512, 1023], whose
+    // bound is clamped to the largest sample.
+    assert_eq!(s.p90, ITERS - 1);
+    assert_eq!(s.p99, ITERS - 1);
 }
 
 #[test]

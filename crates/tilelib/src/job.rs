@@ -300,19 +300,27 @@ mod tests {
 
     #[test]
     fn validation_rejects_zero_knobs() {
-        let mut p = LibraryParams::default();
-        assert!(p.validate().is_ok());
-        p.grid = 0;
-        assert!(p.validate().is_err());
-        let mut p = LibraryParams::default();
-        p.clusters = 0;
-        assert!(p.validate().is_err());
-        let mut p = LibraryParams::default();
-        p.top_clusters = 0;
-        assert!(p.validate().is_err());
-        let mut p = LibraryParams::default();
-        p.feature_grid = 0;
-        assert!(p.validate().is_err());
+        assert!(LibraryParams::default().validate().is_ok());
+        for p in [
+            LibraryParams {
+                grid: 0,
+                ..LibraryParams::default()
+            },
+            LibraryParams {
+                clusters: 0,
+                ..LibraryParams::default()
+            },
+            LibraryParams {
+                top_clusters: 0,
+                ..LibraryParams::default()
+            },
+            LibraryParams {
+                feature_grid: 0,
+                ..LibraryParams::default()
+            },
+        ] {
+            assert!(p.validate().is_err(), "{p:?}");
+        }
     }
 
     #[test]

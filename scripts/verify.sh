@@ -12,9 +12,9 @@ run() {
 }
 
 run cargo build --release --offline
-run cargo test -q --offline
+run cargo test -q --offline --workspace
 run cargo fmt --check
-run cargo clippy --offline --all-targets -- -D warnings
+run cargo clippy --offline --workspace --all-targets -- -D warnings
 
 # The benchmark in perfbench/ is a separate Cargo package built against
 # the crates' public API with its own lock file. Build it the way the
